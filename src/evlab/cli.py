@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from . import evidence, scale, transition
 from .evidence import (
@@ -68,8 +69,12 @@ def _json_cell(value):
     return value
 
 
-def write_rows(spec: OutputSpec, header: list[str], rows: list[dict]) -> None:
-    """Emit rows as CSV (header + comma-separated lines, \\n endings) or JSONL."""
+def write_rows(spec: OutputSpec, header: list[str], rows: Iterable[dict]) -> None:
+    """Emit rows as CSV (header + comma-separated lines, \\n endings) or JSONL.
+
+    Rows are written as they are drawn, so an iterable that makes them on
+    demand is written holding one row at a time.
+    """
     out = sys.stdout if spec.destination is None else open(
         spec.destination, "w", encoding="utf-8", newline=""
     )
@@ -117,6 +122,16 @@ def _open_unit(text: str) -> float:
     value = float(text)
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(f"expected a number in (0,1), got {text!r}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return value
 
 
@@ -380,34 +395,49 @@ def cmd_audit_transform(args: argparse.Namespace) -> tuple[list[str], list[dict]
     return header, rows, 0
 
 
-def cmd_audit_agreement(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
+class _Rows:
+    """Rows made afresh by `make` on every iteration, never held as a list."""
+
+    def __init__(self, make: Callable[[], Iterator[dict]]) -> None:
+        self._make = make
+
+    def __iter__(self) -> Iterator[dict]:
+        return self._make()
+
+
+def cmd_audit_agreement(args: argparse.Namespace) -> tuple[list[str], Iterable[dict], int]:
     factor = _scale_factor(args)
     grid = scale.outcome_grid(args.max_n, args.min_n)
+    if not grid:
+        raise argparse.ArgumentTypeError(
+            f"--min-n {args.min_n} --max-n {args.max_n} gives an empty outcome grid"
+        )
     report = scale.rank_order_agreement(grid, args.kinds)
     header = ["row_type", "kind_x", "kind_y", "tau",
               "n_a", "k_a", "n_b", "k_b", "x_a", "x_b", "y_a", "y_b"]
-    rows = []
     kinds = report.statistic_kinds
-    for i, kx in enumerate(kinds):
-        for ky in kinds[i:]:
-            rows.append({
-                "row_type": "tau", "kind_x": kx, "kind_y": ky,
-                "tau": report.kendall_tau[(kx, ky)],
-            })
-    witnesses = report.discordant_pairs
-    if args.max_witnesses is not None:
-        witnesses = witnesses[: args.max_witnesses]
-    for pair in witnesses:
+    tau_rows = [
+        {"row_type": "tau", "kind_x": kx, "kind_y": ky, "tau": report.kendall_tau[(kx, ky)]}
+        for i, kx in enumerate(kinds) for ky in kinds[i:]
+    ]
+
+    def witness_row(pair: scale.DiscordantPair) -> dict:
         fx = factor if pair.kind_x in LOG_SCALE_KINDS else 1.0
         fy = factor if pair.kind_y in LOG_SCALE_KINDS else 1.0
-        rows.append({
+        return {
             "row_type": "discordant", "kind_x": pair.kind_x, "kind_y": pair.kind_y,
             "n_a": pair.outcome_a.n, "k_a": pair.outcome_a.k,
             "n_b": pair.outcome_b.n, "k_b": pair.outcome_b.k,
             "x_a": pair.x_values[0] * fx, "x_b": pair.x_values[1] * fx,
             "y_a": pair.y_values[0] * fy, "y_b": pair.y_values[1] * fy,
-        })
-    return header, rows, 0
+        }
+
+    def rows() -> Iterator[dict]:
+        # The cap stops the witness scan itself, bounding time as well as memory.
+        witnesses = itertools.islice(report.discordant_pairs, args.max_witnesses)
+        return itertools.chain(tau_rows, map(witness_row, witnesses))
+
+    return header, _Rows(rows), 0
 
 
 def cmd_audit_difference(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
@@ -514,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--max-n", type=int, default=30)
     q.add_argument("--kinds", type=_kinds_list, default=["neglogp", "abslogbf"],
                    metavar="K1,K2,...")
-    q.add_argument("--max-witnesses", type=int, default=None,
+    q.add_argument("--max-witnesses", type=_non_negative_int, default=None,
                    help="cap on emitted discordant-pair rows (default: all)")
     _add_output_flags(q)
     q.set_defaults(handler=cmd_audit_agreement)

@@ -11,16 +11,16 @@ statistics agree about the rank-ordering of data sets.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .evidence import (
     BinomialOutcome,
     CompositeHypothesis,
-    EvidenceValue,
     Hypothesis,
     PointHypothesis,
     compute_evidence,
@@ -179,14 +179,81 @@ class AgreementConfig:
         return None
 
 
+class DiscordantPairs(Sequence[DiscordantPair]):
+    """The discordant pairs of an agreement report, generated on demand.
+
+    Holds the kept outcomes, one value column per statistic and the
+    discordant count of each compared kind pair, so its memory is linear in
+    the number of outcomes however many pairs reverse. ``len`` is the total
+    count; iteration, which may be repeated, yields the pairs in the
+    report's order: kind pairs in the order of ``statistic_kinds``, then
+    outcome index pairs i < j lexicographically. Indexing walks to the
+    requested pair, and a slice returns a tuple.
+    """
+
+    def __init__(
+        self,
+        outcomes: tuple[BinomialOutcome, ...],
+        columns: dict[str, list[float]],
+        counts: Sequence[tuple[str, str, int]],
+    ) -> None:
+        self._outcomes = outcomes
+        self._columns = columns
+        self._counts = tuple(counts)
+        self._len = sum(count for _, _, count in self._counts)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[DiscordantPair]:
+        for kx, ky, count in self._counts:
+            yield from self._pairs(kx, ky, count)
+
+    def _pairs(self, kx: str, ky: str, count: int) -> Iterator[DiscordantPair]:
+        xs, ys, outcomes = self._columns[kx], self._columns[ky], self._outcomes
+        m = len(outcomes)
+        i = 0
+        # The count is known, so the scan stops at the last reversal.
+        while count:
+            xi, yi = xs[i], ys[i]
+            for j in range(i + 1, m):
+                xj, yj = xs[j], ys[j]
+                if (xi > xj and yi < yj) or (xi < xj and yi > yj):
+                    yield DiscordantPair(outcomes[i], outcomes[j], kx, ky, (xi, xj), (yi, yj))
+                    count -= 1
+            i += 1
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            positions = range(self._len)[index]
+            if positions.step < 0:
+                return tuple(self)[index]
+            return tuple(itertools.islice(self, positions.start, positions.stop, positions.step))
+        position = range(self._len)[index]  # IndexError when out of range
+        return next(itertools.islice(self, position, None))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, DiscordantPairs)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"<{self._len} discordant pairs>"
+
+
 @dataclass(frozen=True)
 class AgreementReport:
-    """Kendall tau-b between statistics over a data grid, with all discordant pairs."""
+    """Kendall tau-b between statistics over a data grid.
+
+    ``discordant_pairs`` is a lazy, re-iterable sequence of the witnesses
+    (DiscordantPairs): its length is the total discordant count from the
+    tau computation, and no pair is built until it is read.
+    """
 
     dataset_grid: tuple[BinomialOutcome, ...]
     statistic_kinds: tuple[str, ...]
     kendall_tau: dict[tuple[str, str], float]
-    discordant_pairs: tuple[DiscordantPair, ...]
+    discordant_pairs: DiscordantPairs
     excluded: tuple[tuple[BinomialOutcome, str], ...] = ()
 
 
@@ -195,33 +262,61 @@ def outcome_grid(max_n: int, min_n: int = 2) -> list[BinomialOutcome]:
     return [BinomialOutcome(n, k) for n in range(min_n, max_n + 1) for k in range(n + 1)]
 
 
-def _sign(x: float) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
+def _tied_pairs(ordered: Sequence) -> int:
+    """Pairs of equal items in a sequence where equal items are adjacent."""
+    total = 0
+    for _, run in itertools.groupby(ordered):
+        size = sum(1 for _ in run)
+        total += size * (size - 1) // 2
+    return total
 
 
-def _tau_b(pair_signs_x: list[int], pair_signs_y: list[int]) -> float:
-    """Kendall tau-b from per-pair order signs (0 marks a tie)."""
-    concordant = discordant = ties_x = ties_y = 0
-    for sx, sy in zip(pair_signs_x, pair_signs_y):
-        if sx == 0:
-            ties_x += 1
-        if sy == 0:
-            ties_y += 1
-        if sx == 0 or sy == 0:
-            continue
-        if sx == sy:
-            concordant += 1
+def _sort_counting_swaps(values: list[float]) -> tuple[list[float], int]:
+    """values in stable ascending order, and the number of pairs i < j with
+    values[i] > values[j] (the swaps an exchange sort would make)."""
+    if len(values) < 2:
+        return values, 0
+    mid = len(values) // 2
+    left, swaps_left = _sort_counting_swaps(values[:mid])
+    right, swaps_right = _sort_counting_swaps(values[mid:])
+    merged: list[float] = []
+    swaps = swaps_left + swaps_right
+    i = j = 0
+    while i < len(left) and j < len(right):
+        if right[j] < left[i]:
+            merged.append(right[j])
+            j += 1
+            swaps += len(left) - i
         else:
-            discordant += 1
-    total = len(pair_signs_x)
+            merged.append(left[i])
+            i += 1
+    merged += left[i:]
+    merged += right[j:]
+    return merged, swaps
+
+
+def _kendall_tau_b(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, int]:
+    """Kendall tau-b of two value columns and their discordant-pair count.
+
+    Knight's O(m log m) method (JASA 1966) with the tie correction: sort
+    the points by (x, y) and count the x ties and joint ties in runs; a
+    merge sort of the y column then counts its swaps, which are exactly the
+    pairs that x orders one way and y strictly the other, and leaves the y
+    ties in runs. The integer counts equal those of comparing every pair,
+    so tau is the same double. Values must not be NaN.
+    """
+    m = len(xs)
+    points = sorted(zip(xs, ys))
+    ties_x = _tied_pairs([x for x, _ in points])
+    ties_xy = _tied_pairs(points)
+    sorted_y, discordant = _sort_counting_swaps([y for _, y in points])
+    ties_y = _tied_pairs(sorted_y)
+    total = m * (m - 1) // 2
+    concordant = total - ties_x - ties_y + ties_xy - discordant
     denom = math.sqrt((total - ties_x) * (total - ties_y))
     if denom == 0.0:
-        return math.nan
-    return (concordant - discordant) / denom
+        return math.nan, discordant
+    return (concordant - discordant) / denom, discordant
 
 
 def rank_order_agreement(
@@ -235,7 +330,8 @@ def rank_order_agreement(
     outcomes produce exact ties (every balanced outcome has p = 1, for
     instance). Outcomes on which some statistic cannot be computed are
     excluded from all comparisons and reported. Deterministic given the
-    grid order.
+    grid order. Time is O(m log m) per kind pair and memory O(m) for m
+    kept outcomes; the witnesses are generated only when read.
     """
     if not grid:
         raise ValueError("agreement requires a nonempty outcome grid")
@@ -243,63 +339,40 @@ def rank_order_agreement(
         config = AgreementConfig()
     kinds = tuple(kinds)
 
-    values: dict[str, list[float]] = {k: [] for k in kinds}
+    # One column per distinct kind; a repeated kind shares its column.
+    columns: dict[str, list[float]] = {k: [] for k in kinds}
     kept: list[BinomialOutcome] = []
     excluded: list[tuple[BinomialOutcome, str]] = []
     for outcome in grid:
-        row: list[EvidenceValue] = []
         try:
-            for kind in kinds:
-                row.append(
-                    compute_evidence(
-                        kind,
-                        outcome,
-                        null=config.null,
-                        alternative=config.alternative_for(kind),
-                    )
-                )
+            row = [
+                compute_evidence(
+                    kind, outcome, null=config.null, alternative=config.alternative_for(kind)
+                ).value
+                for kind in columns
+            ]
         except (ValueError, RuntimeError) as err:
             excluded.append((outcome, str(err)))
             continue
         kept.append(outcome)
-        for ev in row:
-            values[ev.kind].append(ev.value)
-
-    m = len(kept)
-    index_pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    signs = {
-        kind: [_sign(values[kind][i] - values[kind][j]) for i, j in index_pairs]
-        for kind in kinds
-    }
+        for column, value in zip(columns.values(), row):
+            column.append(value)
 
     taus: dict[tuple[str, str], float] = {}
-    discordant: list[DiscordantPair] = []
+    counts: list[tuple[str, str, int]] = []
     for xi, kx in enumerate(kinds):
-        for yi, ky in enumerate(kinds):
-            if yi < xi:
-                taus[(kx, ky)] = taus[(ky, kx)]
-                continue
-            taus[(kx, ky)] = _tau_b(signs[kx], signs[ky])
-            if yi == xi:
-                continue
-            for (i, j), sx, sy in zip(index_pairs, signs[kx], signs[ky]):
-                if sx != 0 and sy != 0 and sx != sy:
-                    discordant.append(
-                        DiscordantPair(
-                            outcome_a=kept[i],
-                            outcome_b=kept[j],
-                            kind_x=kx,
-                            kind_y=ky,
-                            x_values=(values[kx][i], values[kx][j]),
-                            y_values=(values[ky][i], values[ky][j]),
-                        )
-                    )
+        for yi, ky in enumerate(kinds[xi:], start=xi):
+            tau, discordant = _kendall_tau_b(columns[kx], columns[ky])
+            taus[(kx, ky)] = taus[(ky, kx)] = tau
+            if yi > xi:
+                counts.append((kx, ky, discordant))
 
+    outcomes = tuple(kept)
     return AgreementReport(
-        dataset_grid=tuple(kept),
+        dataset_grid=outcomes,
         statistic_kinds=kinds,
         kendall_tau=taus,
-        discordant_pairs=tuple(discordant),
+        discordant_pairs=DiscordantPairs(outcomes, columns, counts),
         excluded=tuple(excluded),
     )
 

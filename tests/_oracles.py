@@ -2,8 +2,9 @@
 
 Each oracle deliberately avoids the code path it validates: binomial
 coefficients come from the additive Pascal recurrence rather than any
-gamma function, p-values from exact rational summation, and marginal
-likelihoods from adaptive quadrature rather than the closed beta form.
+gamma function, p-values from exact rational summation, marginal
+likelihoods from adaptive quadrature rather than the closed beta form, and
+Kendall tau-b from a sign for every pair rather than a merge sort.
 """
 
 from __future__ import annotations
@@ -81,3 +82,43 @@ def quad_trp(
     return bisect(
         lambda y: quad_log_bf(n, y * n, support, theta0), y_lo, y_hi, xtol=1e-12
     )
+
+
+def sign(x: float) -> int:
+    if x > 0:
+        return 1
+    if x < 0:
+        return -1
+    return 0
+
+
+def pair_signs(values: list[float]) -> list[int]:
+    """The order sign of every pair i < j, in lexicographic order."""
+    m = len(values)
+    return [sign(values[i] - values[j]) for i in range(m) for j in range(i + 1, m)]
+
+
+def tau_b(pair_signs_x: list[int], pair_signs_y: list[int]) -> float:
+    """Kendall tau-b from per-pair order signs (0 marks a tie)."""
+    concordant = discordant = ties_x = ties_y = 0
+    for sx, sy in zip(pair_signs_x, pair_signs_y):
+        if sx == 0:
+            ties_x += 1
+        if sy == 0:
+            ties_y += 1
+        if sx == 0 or sy == 0:
+            continue
+        if sx == sy:
+            concordant += 1
+        else:
+            discordant += 1
+    total = len(pair_signs_x)
+    denom = math.sqrt((total - ties_x) * (total - ties_y))
+    if denom == 0.0:
+        return math.nan
+    return (concordant - discordant) / denom
+
+
+def discordant_count(pair_signs_x: list[int], pair_signs_y: list[int]) -> int:
+    """Pairs ordered strictly one way by x and strictly the other by y."""
+    return sum(sx * sy < 0 for sx, sy in zip(pair_signs_x, pair_signs_y))

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from evlab.cli import main
+from evlab.cli import build_parser, main
 
 GOLDEN_TRP_N10 = 0.3380399306382021
 
@@ -264,6 +264,34 @@ class TestAudit:
         )
         _, rows = parse_csv(out)
         assert len([r for r in rows if r["row_type"] == "discordant"]) == 3
+
+    def test_agreement_negative_witness_cap_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "agreement", "--max-n", "12", "--max-witnesses", "-3"])
+        assert exc.value.code == 2
+        assert "non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bounds", [["--max-n", "1"], ["--min-n", "12", "--max-n", "10"]])
+    def test_agreement_empty_grid_is_usage_error(self, capsys, bounds):
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "agreement", *bounds])
+        assert exc.value.code == 2
+        assert "empty outcome grid" in capsys.readouterr().err
+
+    def test_agreement_cap_bounds_a_large_grid(self, capsys):
+        status, out = run_cli(
+            capsys, "audit", "agreement", "--max-n", "100", "--max-witnesses", "10"
+        )
+        assert status == 0
+        _, rows = parse_csv(out)
+        assert len([r for r in rows if r["row_type"] == "discordant"]) == 10
+
+    def test_agreement_rows_can_be_read_twice(self):
+        args = build_parser().parse_args(["audit", "agreement", "--max-n", "8"])
+        _, rows, _ = args.handler(args)
+        first = list(rows)
+        assert any(row["row_type"] == "discordant" for row in first)
+        assert list(rows) == first
 
     def test_difference_demo(self, capsys):
         status, out = run_cli(capsys, "audit", "difference")

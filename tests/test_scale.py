@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from evlab.evidence import BinomialOutcome
 from evlab.scale import (
     AgreementConfig,
     DegenerateGridError,
+    DiscordantPair,
     ScaleType,
     classify_transformation,
     difference_comparison_demo,
@@ -15,8 +17,11 @@ from evlab.scale import (
     permissible,
     rank_order_agreement,
     unit_distortion,
+    _kendall_tau_b,
 )
 from evlab.numerics import linspace
+
+from _oracles import discordant_count, pair_signs, tau_b
 
 
 def fahrenheit_to_celsius(x):
@@ -144,7 +149,7 @@ class TestRankOrderAgreement:
 
     def test_p_value_vs_bayes_factor_disagree(self):
         report = rank_order_agreement(outcome_grid(30), ["neglogp", "abslogbf"])
-        assert len(report.discordant_pairs) >= 1
+        assert len(report.discordant_pairs) == 21902
         tau = report.kendall_tau[("neglogp", "abslogbf")]
         assert -1.0 <= tau < 1.0
 
@@ -204,8 +209,6 @@ class TestRankOrderAgreement:
     def test_monotone_transform_leaves_ranking_unchanged(self):
         # tau is a rank statistic: any strictly increasing rescaling of one
         # statistic leaves every tau against the others untouched
-        from evlab.scale import _sign, _tau_b
-
         grid = outcome_grid(10)
         report = rank_order_agreement(grid, ["neglogp", "abslogbf"])
         from evlab.evidence import PointHypothesis, compute_evidence, uniform_prior
@@ -214,14 +217,76 @@ class TestRankOrderAgreement:
         alt = uniform_prior()
         xs = [compute_evidence("neglogp", o, null=null).value for o in grid]
         ys = [compute_evidence("abslogbf", o, null=null, alternative=alt).value for o in grid]
-        pairs = [(i, j) for i in range(len(grid)) for j in range(i + 1, len(grid))]
+        sy = pair_signs(ys)
         for transform in (lambda v: 3.0 * v + 1.0, math.exp, lambda v: v**3):
-            txs = [transform(v) for v in xs]
-            sx = [_sign(txs[i] - txs[j]) for i, j in pairs]
-            sy = [_sign(ys[i] - ys[j]) for i, j in pairs]
-            assert _tau_b(sx, sy) == pytest.approx(
+            sx = pair_signs([transform(v) for v in xs])
+            assert tau_b(sx, sy) == pytest.approx(
                 report.kendall_tau[("neglogp", "abslogbf")], abs=1e-12
             )
+
+    def test_matches_pairwise_reference_exactly(self):
+        # taus, discordant counts and the witnesses in order, against a sign
+        # for every outcome pair
+        kinds = ["neglogp", "abslogbf", "logmlr", "logslr"]
+        report = rank_order_agreement(outcome_grid(12), kinds)
+        from evlab.evidence import compute_evidence
+
+        config = AgreementConfig()
+        outcomes = report.dataset_grid
+        columns = {
+            kind: [compute_evidence(kind, o, null=config.null,
+                                    alternative=config.alternative_for(kind)).value
+                   for o in outcomes]
+            for kind in kinds
+        }
+        signs = {k: pair_signs(columns[k]) for k in kinds}
+        index_pairs = [(i, j) for i in range(len(outcomes)) for j in range(i + 1, len(outcomes))]
+        expected = []
+        for xi, kx in enumerate(kinds):
+            for ky in kinds[xi:]:
+                assert repr(report.kendall_tau[(kx, ky)]) == repr(tau_b(signs[kx], signs[ky]))
+            for ky in kinds[xi + 1:]:
+                for (i, j), sx, sy in zip(index_pairs, signs[kx], signs[ky]):
+                    if sx * sy < 0:
+                        expected.append(DiscordantPair(
+                            outcomes[i], outcomes[j], kx, ky,
+                            (columns[kx][i], columns[kx][j]), (columns[ky][i], columns[ky][j]),
+                        ))
+        assert len(report.discordant_pairs) == len(expected)
+        assert list(report.discordant_pairs) == expected
+
+    def test_discordant_pairs_is_a_lazy_sequence(self):
+        pairs = rank_order_agreement(outcome_grid(9), ["neglogp", "abslogbf", "logmlr"]).discordant_pairs
+        everything = tuple(pairs)
+        assert tuple(pairs) == everything  # iterable more than once
+        assert len(pairs) == len(everything) > 5
+        assert pairs == everything
+        assert pairs != everything[:-1]
+        assert pairs[0] == everything[0]
+        assert pairs[-1] == everything[-1]
+        assert pairs[len(everything) // 2] == everything[len(everything) // 2]
+        assert pairs[2:5] == everything[2:5]
+        assert pairs[1::3] == everything[1::3]
+        assert pairs[::-2] == everything[::-2]
+        assert pairs[len(everything):] == ()
+        with pytest.raises(IndexError):
+            pairs[len(everything)]
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.data())
+    def test_knight_tau_b_matches_pairwise_reference(self, data):
+        # Few distinct values, so ties in x, in y and joint ties are common;
+        # signed zeros and infinities tie as the pairwise signs see them.
+        value = st.sampled_from([-math.inf, -2.5, -0.0, 0.0, 1.0, 3.0, math.inf]) | st.floats(
+            allow_nan=False
+        )
+        m = data.draw(st.integers(0, 40))
+        xs = data.draw(st.lists(value, min_size=m, max_size=m))
+        ys = data.draw(st.lists(value, min_size=m, max_size=m))
+        tau, discordant = _kendall_tau_b(xs, ys)
+        sx, sy = pair_signs(xs), pair_signs(ys)
+        assert discordant == discordant_count(sx, sy)
+        assert repr(tau) == repr(tau_b(sx, sy))
 
     def test_uncomputable_outcomes_are_excluded_and_reported(self):
         grid = [BinomialOutcome(0, 0), BinomialOutcome(4, 1), BinomialOutcome(4, 3)]
