@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator
 
 from . import evidence, scale, transition
@@ -45,7 +45,6 @@ class OutputSpec:
 
     fmt: str = "csv"
     destination: str | None = None
-    log_base: float = math.e
 
 
 def _fmt_cell(value) -> str:
@@ -122,6 +121,13 @@ def _open_unit(text: str) -> float:
     value = float(text)
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(f"expected a number in (0,1), got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
     return value
 
 
@@ -221,18 +227,14 @@ def cmd_compute(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
 
     rows = []
     for kind in kinds:
+        denominator, alternative = null, None
         if kind in ("slr", "logslr"):
             # slr kinds compare the theta1/theta2 point pair
-            value = evidence.log_slr(data, PointHypothesis(args.theta1),
-                                     PointHypothesis(args.theta2))
-            if kind == "slr":
-                value = math.exp(value)
+            denominator, alternative = PointHypothesis(args.theta2), PointHypothesis(args.theta1)
         elif kind in ("bf", "logbf", "abslogbf"):
-            a, b = args.bf if args.bf is not None else (1.0, 1.0)
-            alternative = CompositeHypothesis(support=args.support, a=a, b=b)
-            value = compute_evidence(kind, data, null=null, alternative=alternative).value
-        else:
-            value = compute_evidence(kind, data, null=null).value
+            # without --bf the prior is the library's default, uniform
+            alternative = CompositeHypothesis(args.support, *(args.bf or ()))
+        value = compute_evidence(kind, data, null=denominator, alternative=alternative).value
         if kind in LOG_SCALE_KINDS:
             value *= factor
         rows.append({"kind": kind, "n": args.n, "k": args.k, "value": value})
@@ -246,24 +248,20 @@ def cmd_figure1(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
     rows = []
 
     if args.variant == "a":
-        h1 = PointHypothesis(args.theta1)
-        h2 = PointHypothesis(args.theta2)
-
-        def log_es(n: float, y: float) -> float:
-            return evidence.log_slr(BinomialOutcome(n, y * n, CONTINUOUS), h1, h2)
+        h1, h2 = PointHypothesis(args.theta1), PointHypothesis(args.theta2)
 
         def trp_for(n: float) -> float:
             return transition.trp_simple(args.theta1, args.theta2)
 
     else:
-        composite = CompositeHypothesis(support=args.support)
-        null = PointHypothesis(args.null)
-
-        def log_es(n: float, y: float) -> float:
-            return evidence.log_bf(BinomialOutcome(n, y * n, CONTINUOUS), composite, null)
+        h1, h2 = CompositeHypothesis(support=args.support), PointHypothesis(args.null)
 
         def trp_for(n: float) -> float:
-            return transition.trp_composite(n, composite, null, args.tol).trp_y
+            return transition.trp_composite(n, h1, h2, args.tol).trp_y
+
+    def log_es(n: float, y: float) -> float:
+        # for a point h1 the Bayes factor is the simple likelihood ratio
+        return evidence.log_bf(BinomialOutcome(n, y * n, CONTINUOUS), h1, h2)
 
     for n in args.n:
         for y in y_grid:
@@ -302,16 +300,10 @@ def cmd_trp(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
         }
 
     if args.setup == "simple":
+        h1, h2 = PointHypothesis(args.theta1), PointHypothesis(args.theta2)
         for n in args.n:
             try:
-                y_star = transition.trp_simple(args.theta1, args.theta2)
-                residual = abs(evidence.log_slr(
-                    BinomialOutcome(n, y_star * n, CONTINUOUS),
-                    PointHypothesis(args.theta1), PointHypothesis(args.theta2),
-                ))
-                result = transition.TrPResult(n=n, trp_y=y_star, residual=residual,
-                                              bracket_width=0.0)
-                rows.append(ok_row("", result))
+                rows.append(ok_row("", transition.trp_point_pair(n, h1, h2)))
                 successes += 1
             except (ValueError, RuntimeError) as err:
                 rows.append(err_row("", n, str(err)))
@@ -344,29 +336,18 @@ def cmd_zero_paths(args: argparse.Namespace) -> tuple[list[str], list[dict], int
     if args.both:
         if args.path is not None:
             raise argparse.ArgumentTypeError("give either a path or --both, not both")
-        reports = [transition.zero_path(transition.SHRINK_N),
-                   transition.zero_path(transition.RIDE_TRP)]
+        reports = [transition.zero_path(kind) for kind in transition.PATH_KINDS]
     else:
         if args.path is None:
             raise argparse.ArgumentTypeError("a path (shrink-n or ride-trp) or --both is required")
+        # --y, --null, --against and --tol default to the library's own values.
+        given = {"h2": PointHypothesis(args.null), "against_pair": args.against,
+                 "y_fixed": args.y, "tol": args.tol}
         if args.support is not None:
-            support = args.support
-        else:
-            support = (0.5, 1.0) if args.path == transition.SHRINK_N else (0.0, 0.5)
+            given["h1"] = CompositeHypothesis(support=args.support)
         if args.n is not None:
-            n_values = tuple(args.n)
-        elif args.path == transition.SHRINK_N:
-            n_values = (8.0, 4.0, 2.0, 1.0, 0.5, 0.1)
-        else:
-            n_values = (10.0, 100.0, 1000.0)
-        config = transition.ZeroPathConfig(
-            h1=CompositeHypothesis(support=support),
-            h2=PointHypothesis(args.null),
-            against_pair=args.against,
-            y_fixed=args.y,
-            n_values=n_values,
-            tol=args.tol,
-        )
+            given["n_values"] = tuple(args.n)
+        config = replace(transition.default_config(args.path), **given)
         reports = [transition.zero_path(args.path, config)]
 
     rows = []
@@ -383,8 +364,13 @@ def cmd_zero_paths(args: argparse.Namespace) -> tuple[list[str], list[dict], int
 def cmd_audit_transform(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
     name, f = args.f
     lo, hi = args.interval
-    audit = scale.classify_transformation(f, linspace(lo, hi, args.grid))
-    distortion = scale.unit_distortion(f, (lo, hi), args.unit)
+    try:
+        audit = scale.classify_transformation(f, linspace(lo, hi, args.grid))
+        distortion = scale.unit_distortion(f, (lo, hi), args.unit)
+    except (ValueError, OverflowError) as err:
+        raise argparse.ArgumentTypeError(
+            f"transform {name} on --interval {lo:g},{hi:g}: {err}"
+        ) from err
     header = ["transform", "lo", "hi", "unit", "order_preserving", "affine",
               "positive_scalar", "unit_distortion"]
     rows = [{
@@ -494,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta2", type=_open_unit, default=0.75)
     p.add_argument("--support", type=_pair, default=(0.0, 0.5), metavar="LO,HI")
     p.add_argument("--null", type=_open_unit, default=0.5)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_positive, default=transition.DEFAULT_TOL)
     _add_output_flags(p)
     p.set_defaults(handler=cmd_figure1)
 
@@ -507,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta2", type=_open_unit, default=0.75)
     p.add_argument("--support", type=_pair, default=(0.0, 0.5), metavar="LO,HI")
     p.add_argument("--null", type=_open_unit, default=0.5)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_positive, default=transition.DEFAULT_TOL)
     _add_output_flags(p)
     p.set_defaults(handler=cmd_trp)
 
@@ -515,14 +501,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", nargs="?", choices=transition.PATH_KINDS, default=None)
     p.add_argument("--both", action="store_true",
                    help="emit both default traces side by side")
-    p.add_argument("--y", type=_open_unit, default=0.9,
-                   help="fixed observed proportion for shrink-n (default 0.9)")
+    shared = transition.default_config(transition.SHRINK_N)  # values both paths share
+    p.add_argument("--y", type=_open_unit, default=shared.y_fixed,
+                   help=f"fixed observed proportion for shrink-n (default {shared.y_fixed:g})")
     p.add_argument("--n", type=_float_list, default=None, metavar="N1,N2,...")
     p.add_argument("--support", type=_pair, default=None, metavar="LO,HI")
-    p.add_argument("--null", type=_open_unit, default=0.5)
-    p.add_argument("--against", type=_pair, default=(0.25, 0.75), metavar="T1,T2",
-                   help="point pair for the contradiction proxy (default 0.25,0.75)")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--null", type=_open_unit, default=shared.h2.theta0)
+    p.add_argument("--against", type=_pair, default=shared.against_pair, metavar="T1,T2",
+                   help="point pair for the contradiction proxy (default %g,%g)"
+                        % shared.against_pair)
+    p.add_argument("--tol", type=_positive, default=shared.tol)
     _add_output_flags(p)
     p.set_defaults(handler=cmd_zero_paths)
 
@@ -532,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = audit_sub.add_parser("transform", help="classify a scalar transformation")
     q.add_argument("--f", type=_transform_spec, default=("log", math.log),
                    metavar="SPEC", help="log, exp, f2c, c2f or affine:slope,intercept")
-    q.add_argument("--interval", type=_pair, default=(0.0, 100.0), metavar="LO,HI")
+    q.add_argument("--interval", type=_pair, default=(49.0, 100.0), metavar="LO,HI")
     q.add_argument("--unit", type=float, default=1.0)
     q.add_argument("--grid", type=int, default=64,
                    help="classification grid size (default 64)")
@@ -568,7 +556,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, RuntimeError, OverflowError, ZeroDivisionError) as err:
         print(f"evlab: error: {err}", file=sys.stderr)
         return 1
-    write_rows(OutputSpec(args.format, args.out, args.log_base), header, rows)
+    write_rows(OutputSpec(args.format, args.out), header, rows)
     return status
 
 

@@ -291,7 +291,8 @@ def compute_evidence(
     `null` is the point hypothesis in the denominator role; `alternative`
     is the numerator hypothesis for the likelihood-ratio and Bayes-factor
     families (a PointHypothesis for slr/logslr, a point or composite one
-    for bf/logbf/abslogbf).
+    for bf/logbf/abslogbf). The ratio kinds mlr, slr and bf are inf once
+    their log value passes ln of the largest double (about 709.78).
     """
     if kind not in EVIDENCE_KINDS:
         raise ValueError(f"unknown evidence kind {kind!r}; expected one of {EVIDENCE_KINDS}")
@@ -301,22 +302,21 @@ def compute_evidence(
         return EvidenceValue(kind, p_value_two_sided(data, null), data, (null,))
     if kind == "neglogp":
         return EvidenceValue(kind, neg_log_p(data, null), data, (null,))
-    if kind == "mlr":
-        return EvidenceValue(kind, math.exp(log_mlr(data, null)), data, (null,))
-    if kind == "logmlr":
-        return EvidenceValue(kind, log_mlr(data, null), data, (null,))
-    if alternative is None:
+    if kind in ("mlr", "logmlr"):
+        value, hypotheses = log_mlr(data, null), (null,)
+    elif alternative is None:
         raise ValueError(f"kind {kind!r} requires an alternative hypothesis")
-    if kind in ("slr", "logslr"):
+    elif kind in ("slr", "logslr"):
         if not isinstance(alternative, PointHypothesis):
             raise ValueError("slr compares two point hypotheses")
-        value = log_slr(data, alternative, null)
-        if kind == "slr":
+        value, hypotheses = log_slr(data, alternative, null), (alternative, null)
+    else:
+        value, hypotheses = log_bf(data, alternative, null), (alternative, null)
+    if kind in ("mlr", "slr", "bf"):
+        try:
             value = math.exp(value)
-        return EvidenceValue(kind, value, data, (alternative, null))
-    value = log_bf(data, alternative, null)
-    if kind == "bf":
-        value = math.exp(value)
+        except OverflowError:
+            value = math.inf
     elif kind == "abslogbf":
         value = abs(value)
-    return EvidenceValue(kind, value, data, (alternative, null))
+    return EvidenceValue(kind, value, data, hypotheses)

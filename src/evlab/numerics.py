@@ -45,8 +45,10 @@ _LANCZOS = (
 )
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
-# Continued-fraction controls for the incomplete beta function.
-_BETACF_MAX_ITER = 300
+# Continued-fraction controls for the incomplete beta function. The iteration
+# cap is this floor plus sqrt(max(a, b)); the count needed near x = a/(a+b)
+# grows only about like the cube root of the shapes (889 at a = b = 5e6).
+_BETACF_MIN_ITER = 300
 _BETACF_EPS = 1e-15
 _BETACF_TINY = 1e-300
 
@@ -85,6 +87,7 @@ def log_binomial_coeff(n: float, k: float) -> float:
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta, modified Lentz algorithm."""
+    max_iter = _BETACF_MIN_ITER + int(math.sqrt(max(a, b)))
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -94,34 +97,25 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
         d = _BETACF_TINY
     d = 1.0 / d
     h = d
-    for m in range(1, _BETACF_MAX_ITER + 1):
+    for m in range(1, max_iter + 1):
         m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETACF_TINY:
-            d = _BETACF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _BETACF_TINY:
-            c = _BETACF_TINY
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETACF_TINY:
-            d = _BETACF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _BETACF_TINY:
-            c = _BETACF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):
+            d = 1.0 + aa * d
+            if abs(d) < _BETACF_TINY:
+                d = _BETACF_TINY
+            c = 1.0 + aa / c
+            if abs(c) < _BETACF_TINY:
+                c = _BETACF_TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _BETACF_EPS:
             return h
     raise ConvergenceError(
         f"incomplete beta continued fraction did not converge for "
-        f"a={a}, b={b}, x={x} within {_BETACF_MAX_ITER} iterations"
+        f"a={a}, b={b}, x={x} within {max_iter} iterations"
     )
 
 

@@ -22,12 +22,15 @@ from .evidence import (
     CompositeHypothesis,
     PointHypothesis,
     log_bf,
+    log_slr,
     uniform_prior,
 )
 from .numerics import InvalidBracketError, RootBracket, find_root
 
 # Root residuals above this are treated as a failed solve.
 RESIDUAL_LIMIT = 1e-8
+# Root-finder bracket tolerance on the observed proportion.
+DEFAULT_TOL = 1e-12
 # Root brackets stay this far inside the support / away from the point null,
 # since the log Bayes factor diverges toward the support edges.
 BRACKET_MARGIN = 1e-6
@@ -87,6 +90,13 @@ def trp_simple(theta1: float, theta2: float) -> float:
     return comp / (math.log(theta1 / theta2) + comp)
 
 
+def trp_point_pair(n: float, h1: PointHypothesis, h2: PointHypothesis) -> TrPResult:
+    """trp_simple as a TrPResult at n: the log-ratio residual there, bracket width 0."""
+    y = trp_simple(h1.theta0, h2.theta0)
+    residual = abs(log_slr(BinomialOutcome(n, y * n, CONTINUOUS), h1, h2))
+    return TrPResult(n=n, trp_y=y, residual=residual, bracket_width=0.0)
+
+
 def _log_bf_of_y(n: float, h1: CompositeHypothesis, h2: PointHypothesis):
     def g(y: float) -> float:
         return log_bf(BinomialOutcome(n, y * n, CONTINUOUS), h1, h2)
@@ -111,7 +121,7 @@ def trp_composite(
     n: float,
     h1: CompositeHypothesis,
     h2: PointHypothesis,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
 ) -> TrPResult:
     """Transition point for a one-sided composite hypothesis against a point null.
 
@@ -139,7 +149,7 @@ def trp_composite_two_sided(
     n: float,
     h1: CompositeHypothesis,
     h2: PointHypothesis,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
 ) -> tuple[TrPResult, TrPResult]:
     """The pair of transition points when the support straddles the null.
 
@@ -162,7 +172,7 @@ def trp_curve(
     n_values: list[float] | tuple[float, ...],
     h1: CompositeHypothesis,
     h2: PointHypothesis,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
 ) -> list[CurveEntry]:
     """Transition point per trial count over a strictly increasing sweep.
 
@@ -246,7 +256,7 @@ class ZeroPathConfig:
     against_pair: tuple[float, float] = (0.25, 0.75)
     y_fixed: float = 0.9
     n_values: tuple[float, ...] = ()
-    tol: float = 1e-12
+    tol: float = DEFAULT_TOL
 
 
 def shrink_n_config() -> ZeroPathConfig:
@@ -267,6 +277,11 @@ def ride_trp_config() -> ZeroPathConfig:
     )
 
 
+def default_config(path_kind: str) -> ZeroPathConfig:
+    """The default setup of a path kind: shrink_n_config or ride_trp_config."""
+    return shrink_n_config() if path_kind == SHRINK_N else ride_trp_config()
+
+
 def zero_path(path_kind: str, config: ZeroPathConfig | None = None) -> ZeroPathReport:
     """Trace one of the two routes to log BF = 0.
 
@@ -281,7 +296,7 @@ def zero_path(path_kind: str, config: ZeroPathConfig | None = None) -> ZeroPathR
     if path_kind not in PATH_KINDS:
         raise ValueError(f"path kind must be one of {PATH_KINDS}, got {path_kind!r}")
     if config is None:
-        config = shrink_n_config() if path_kind == SHRINK_N else ride_trp_config()
+        config = default_config(path_kind)
     ns = config.n_values
     if not ns:
         raise ValueError("zero path requires at least one n value")

@@ -81,6 +81,17 @@ class TestCompute:
         _, rows = parse_csv(out)
         assert float(rows[0]["value"]) == 0.0
 
+    def test_ratio_overflow_prints_inf(self, capsys):
+        argv = ["compute", "--n", "5000", "--k", "1000", "--kinds", "mlr,logmlr"]
+        status, out = run_cli(capsys, *argv)
+        assert status == 0
+        _, rows = parse_csv(out)
+        assert rows[0]["value"] == "inf"
+        assert float(rows[1]["value"]) > 710.0
+        status, out = run_cli(capsys, *argv, "--format", "jsonl")
+        assert status == 0
+        assert '"value":Infinity' in out.splitlines()[0]
+
     def test_unknown_kind_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["compute", "--n", "4", "--k", "2", "--kinds", "entropy"])
@@ -178,6 +189,22 @@ class TestTrp:
         _, rows = parse_csv(out)
         assert len(rows) == 3  # one failure row at n=1, two roots at n=10
 
+    def test_one_sided_large_n(self, capsys):
+        # needs more continued-fraction iterations than the former fixed cap of 300
+        status, out = run_cli(capsys, "trp", "--setup", "one-sided", "--n", "1000000")
+        assert status == 0
+        _, rows = parse_csv(out)
+        assert rows[0]["error"] == ""
+        assert 0.49 < float(rows[0]["trp_y"]) < 0.5
+
+    @pytest.mark.parametrize("command", [["figure1", "b"], ["trp"], ["zero-paths", "ride-trp"]])
+    @pytest.mark.parametrize("tol", ["0", "-1e-12", "nan"])
+    def test_non_positive_tol_is_usage_error(self, capsys, command, tol):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--tol", tol])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
 
 class TestZeroPaths:
     def test_shrink_n_monotone(self, capsys):
@@ -228,6 +255,26 @@ class TestAudit:
         assert row["order_preserving"] == "true"
         assert row["affine"] == "false"
         assert 2.0 <= float(row["unit_distortion"]) <= 2.02
+
+    def test_transform_default_is_the_rubber_scale(self, capsys):
+        status, out = run_cli(capsys, "audit", "transform")
+        assert status == 0
+        _, rows = parse_csv(out)
+        assert (rows[0]["transform"], rows[0]["lo"], rows[0]["hi"]) == ("log", "49", "100")
+        assert 2.0 <= float(rows[0]["unit_distortion"]) <= 2.02
+
+    @pytest.mark.parametrize("flags, names", [
+        (["--grid", "3"], "transform log on --interval 49,100"),
+        (["--unit", "0"], "transform log on --interval 49,100"),
+        (["--interval", "50,50"], "transform log on --interval 50,50"),
+        (["--interval=-5,10"], "transform log on --interval -5,10"),
+        (["--f", "exp", "--interval", "0,1000"], "transform exp on --interval 0,1000"),
+    ])
+    def test_transform_domain_failures_are_usage_errors(self, capsys, flags, names):
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "transform", *flags])
+        assert exc.value.code == 2
+        assert names in capsys.readouterr().err
 
     def test_transform_affine(self, capsys):
         status, out = run_cli(capsys, "audit", "transform", "--f", "affine:2,0")

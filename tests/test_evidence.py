@@ -348,3 +348,18 @@ class TestComputeEvidence:
             compute_evidence("slr", data, null=FAIR, alternative=uniform_prior())
         with pytest.raises(ValueError):
             compute_evidence("entropy", data, null=FAIR)
+
+    @pytest.mark.parametrize(
+        "kind, data, null, alternative",
+        [
+            ("mlr", BinomialOutcome(2000, 0), FAIR, None),
+            ("slr", BinomialOutcome(5000, 100), PointHypothesis(0.75), PointHypothesis(0.25)),
+            ("bf", BinomialOutcome(100000, 40000), FAIR, uniform_prior()),
+        ],
+    )
+    def test_ratio_kinds_overflow_to_inf(self, kind, data, null, alternative):
+        # the log value is far past ln(DBL_MAX) ~ 709.78, so the ratio is inf, not an error
+        log_value = compute_evidence("log" + kind, data, null=null, alternative=alternative)
+        assert log_value.value > 710.0
+        ev = compute_evidence(kind, data, null=null, alternative=alternative)
+        assert ev.value == math.inf

@@ -16,6 +16,7 @@ from evlab.numerics import (
     log_binomial_coeff,
     log_gamma,
     regularized_incomplete_beta,
+    _beta_continued_fraction,
 )
 
 from _oracles import pascal_row
@@ -135,6 +136,20 @@ class TestIncompleteBeta:
         for a, b in ((0.5, 2.0), (3.0, 3.0), (10.0, 2.5)):
             values = [regularized_incomplete_beta(x, a, b) for x in linspace(0.0, 1.0, 101)]
             assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("half", [5e5, 5e6])
+    def test_large_shapes_converge(self, half):
+        # near x = a/(a+b) these need more than 300 continued-fraction iterations;
+        # the accuracy is set by the log-beta prefactor, which loses digits here
+        assert regularized_incomplete_beta(0.5, half + 2.0, half) == pytest.approx(
+            float(special.betainc(half + 2.0, half, 0.5)), abs=1e-7
+        )
+
+    def test_iteration_cap_is_reported(self):
+        # far above the mean a/(a+b) the raw continued fraction does not converge;
+        # the message names the cap that was used, 300 + floor(sqrt(max(a, b)))
+        with pytest.raises(ConvergenceError, match=r"within 400 iterations"):
+            _beta_continued_fraction(0.5, 1e4, 0.5)
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -295,6 +295,15 @@ class TestRankOrderAgreement:
         assert report.excluded[0][0] == BinomialOutcome(0, 0)
         assert len(report.dataset_grid) == 2
 
+    def test_overflowing_ratio_kind_is_ranked_as_inf(self):
+        # mlr at n = 1100 passes the largest double for the most lopsided outcomes
+        report = rank_order_agreement(outcome_grid(1100, 1100), ["mlr", "logmlr"])
+        assert report.excluded == ()
+        assert len(report.dataset_grid) == 1101
+        assert report.kendall_tau[("mlr", "mlr")] == 1.0
+        # the inf values tie among themselves where logmlr still orders them
+        assert 0.99 < report.kendall_tau[("mlr", "logmlr")] < 1.0
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             rank_order_agreement([], ["neglogp"])
