@@ -13,13 +13,13 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
-import json
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-from . import evidence, scale, transition
+# `scale` is imported by the audit handlers and `json` by the JSONL writer,
+# so that a cold start of any other subcommand loads neither.
+from . import evidence, transition
 from .evidence import (
     CONTINUOUS,
     EXACT,
@@ -39,8 +39,7 @@ _Y_MIN = 0.01
 _Y_MAX = 0.99
 
 
-@dataclass(frozen=True)
-class OutputSpec:
+class OutputSpec(NamedTuple):
     """Where and how rows are written."""
 
     fmt: str = "csv"
@@ -84,6 +83,8 @@ def write_rows(spec: OutputSpec, header: list[str], rows: Iterable[dict]) -> Non
             for row in rows:
                 writer.writerow([_fmt_cell(row.get(col)) for col in header])
         else:
+            import json
+
             for row in rows:
                 obj = {col: _json_cell(row.get(col)) for col in header}
                 out.write(json.dumps(obj, separators=(",", ":")) + "\n")
@@ -213,6 +214,15 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
                         help="display base for log-valued columns (default e)")
 
 
+def _usage_checked(flags: str, make: Callable, *values):
+    """make(*values), with the ValueError of a bad value turned into a usage
+    error that names the flags it came from."""
+    try:
+        return make(*values)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"{flags}: {err}") from err
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -221,7 +231,8 @@ def cmd_compute(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
     kinds = args.kinds
     if kinds is None:
         kinds = ["logbf"] if args.bf is not None else ["pvalue", "neglogp", "mlr", "logmlr"]
-    data = BinomialOutcome(args.n, args.k, args.mode)
+    data = _usage_checked(f"--n {args.n:g} --k {args.k:g}", BinomialOutcome,
+                          args.n, args.k, args.mode)
     null = PointHypothesis(args.null)
     factor = _scale_factor(args)
 
@@ -233,7 +244,8 @@ def cmd_compute(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
             denominator, alternative = PointHypothesis(args.theta2), PointHypothesis(args.theta1)
         elif kind in ("bf", "logbf", "abslogbf"):
             # without --bf the prior is the library's default, uniform
-            alternative = CompositeHypothesis(args.support, *(args.bf or ()))
+            alternative = _usage_checked("--support %g,%g" % args.support, CompositeHypothesis,
+                                         args.support, *(args.bf or ()))
         value = compute_evidence(kind, data, null=denominator, alternative=alternative).value
         if kind in LOG_SCALE_KINDS:
             value *= factor
@@ -347,7 +359,7 @@ def cmd_zero_paths(args: argparse.Namespace) -> tuple[list[str], list[dict], int
             given["h1"] = CompositeHypothesis(support=args.support)
         if args.n is not None:
             given["n_values"] = tuple(args.n)
-        config = replace(transition.default_config(args.path), **given)
+        config = transition.default_config(args.path)._replace(**given)
         reports = [transition.zero_path(args.path, config)]
 
     rows = []
@@ -362,6 +374,8 @@ def cmd_zero_paths(args: argparse.Namespace) -> tuple[list[str], list[dict], int
 
 
 def cmd_audit_transform(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
+    from . import scale
+
     name, f = args.f
     lo, hi = args.interval
     try:
@@ -392,6 +406,8 @@ class _Rows:
 
 
 def cmd_audit_agreement(args: argparse.Namespace) -> tuple[list[str], Iterable[dict], int]:
+    from . import scale
+
     factor = _scale_factor(args)
     grid = scale.outcome_grid(args.max_n, args.min_n)
     if not grid:
@@ -427,6 +443,8 @@ def cmd_audit_agreement(args: argparse.Namespace) -> tuple[list[str], Iterable[d
 
 
 def cmd_audit_difference(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
+    from . import scale
+
     factor = _scale_factor(args)
     demo = scale.difference_comparison_demo(args.p_values)
     header = ["p1", "p2", "p3", "raw_diff_12", "raw_diff_23",

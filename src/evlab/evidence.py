@@ -10,8 +10,7 @@ handled by the command-line layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .numerics import log_beta, log_binomial_coeff, regularized_incomplete_beta
 
@@ -43,8 +42,13 @@ class DegeneratePriorError(ValueError):
     """A composite prior whose mass on its support underflows to zero."""
 
 
-@dataclass(frozen=True)
-class BinomialOutcome:
+class _BinomialOutcome(NamedTuple):
+    n: float
+    k: float
+    mode: str
+
+
+class BinomialOutcome(_BinomialOutcome):
     """Observed binomial data: k successes in n trials.
 
     In "exact" mode n and k must be integers. "continuous" mode relaxes
@@ -53,22 +57,21 @@ class BinomialOutcome:
     move along n smoothly.
     """
 
-    n: float
-    k: float
-    mode: str = EXACT
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.n < 0:
-            raise ValueError(f"trial count must be nonnegative, got n={self.n}")
-        if self.k < 0 or self.k > self.n:
-            raise ValueError(f"require 0 <= k <= n, got n={self.n}, k={self.k}")
-        if self.mode == EXACT:
-            if not (float(self.n).is_integer() and float(self.k).is_integer()):
+    def __new__(cls, n: float, k: float, mode: str = EXACT):
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        if n < 0:
+            raise ValueError(f"trial count must be nonnegative, got n={n}")
+        if k < 0 or k > n:
+            raise ValueError(f"require 0 <= k <= n, got n={n}, k={k}")
+        if mode == EXACT:
+            if not (float(n).is_integer() and float(k).is_integer()):
                 raise ValueError(
-                    f"exact mode requires integer n and k, got n={self.n}, k={self.k}"
+                    f"exact mode requires integer n and k, got n={n}, k={k}"
                 )
+        return tuple.__new__(cls, (n, k, mode))
 
     @property
     def y(self) -> float:
@@ -78,37 +81,47 @@ class BinomialOutcome:
         return self.k / self.n
 
 
-@dataclass(frozen=True)
-class PointHypothesis:
-    """A fully specified success probability, strictly inside (0, 1)."""
-
+class _PointHypothesis(NamedTuple):
     theta0: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.theta0 < 1.0:
-            raise ValueError(f"point hypothesis requires theta0 in (0,1), got {self.theta0}")
+
+class PointHypothesis(_PointHypothesis):
+    """A fully specified success probability, strictly inside (0, 1)."""
+
+    __slots__ = ()
+
+    def __new__(cls, theta0: float):
+        if not 0.0 < theta0 < 1.0:
+            raise ValueError(f"point hypothesis requires theta0 in (0,1), got {theta0}")
+        return tuple.__new__(cls, (theta0,))
 
 
-@dataclass(frozen=True)
-class CompositeHypothesis:
+class _CompositeHypothesis(NamedTuple):
+    support: tuple[float, float]
+    a: float
+    b: float
+
+
+class CompositeHypothesis(_CompositeHypothesis):
     """An interval of success probabilities with a Beta(a, b) prior.
 
     The prior is the Beta(a, b) density truncated to `support` and
     renormalized, so it integrates to one over the support by construction.
     """
 
-    support: tuple[float, float] = (0.0, 1.0)
-    a: float = 1.0
-    b: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        lo, hi = self.support
+    def __new__(
+        cls, support: tuple[float, float] = (0.0, 1.0), a: float = 1.0, b: float = 1.0
+    ):
+        lo, hi = support
         if not (0.0 <= lo < hi <= 1.0):
             raise ValueError(
-                f"support must be a positive-width subinterval of [0,1], got {self.support}"
+                f"support must be a positive-width subinterval of [0,1], got {support}"
             )
-        if not (self.a > 0.0 and self.b > 0.0):
-            raise ValueError(f"prior shapes must be positive, got a={self.a}, b={self.b}")
+        if not (a > 0.0 and b > 0.0):
+            raise ValueError(f"prior shapes must be positive, got a={a}, b={b}")
+        return tuple.__new__(cls, (support, a, b))
 
 
 Hypothesis = Union[PointHypothesis, CompositeHypothesis]
@@ -119,8 +132,7 @@ def uniform_prior(lo: float = 0.0, hi: float = 1.0) -> CompositeHypothesis:
     return CompositeHypothesis(support=(lo, hi), a=1.0, b=1.0)
 
 
-@dataclass(frozen=True)
-class EvidenceValue:
+class EvidenceValue(NamedTuple):
     """A named statistic value together with the inputs it was computed from."""
 
     kind: str
@@ -156,14 +168,8 @@ def _point_log_lik(data: BinomialOutcome, theta: float) -> float:
     return _xlogy(data.k, theta) + _xlogy(data.n - data.k, 1.0 - theta)
 
 
-def p_value_two_sided(data: BinomialOutcome, null: PointHypothesis) -> float:
-    """Exact two-sided p-value P(|K - n/2| >= |k - n/2|) under Binomial(n, 1/2).
-
-    Only the symmetric null theta0 = 1/2 is supported; for an asymmetric
-    null there are several competing two-sided conventions, and none is
-    silently adopted here. Summation is carried out in exact integer
-    arithmetic, so the result is 1.0 exactly whenever k = n/2.
-    """
+def _two_sided_count(data: BinomialOutcome, null: PointHypothesis) -> tuple[int, int]:
+    """(n, c): the two-sided p-value is exactly c / 2**n."""
     if null.theta0 != 0.5:
         raise UnsupportedNullError(
             f"two-sided p-value is only defined here for theta0 = 1/2, got {null.theta0}"
@@ -175,15 +181,33 @@ def p_value_two_sided(data: BinomialOutcome, null: PointHypothesis) -> float:
     if n < 1:
         raise ValueError(f"p-value requires n >= 1, got n={n}")
     dist = abs(2 * k - n)  # twice the distance from n/2, kept integral
-    numerator = sum(math.comb(n, j) for j in range(n + 1) if abs(2 * j - n) >= dist)
-    return numerator / 2**n
+    return n, sum(math.comb(n, j) for j in range(n + 1) if abs(2 * j - n) >= dist)
+
+
+def p_value_two_sided(data: BinomialOutcome, null: PointHypothesis) -> float:
+    """Exact two-sided p-value P(|K - n/2| >= |k - n/2|) under Binomial(n, 1/2).
+
+    Only the symmetric null theta0 = 1/2 is supported; for an asymmetric
+    null there are several competing two-sided conventions, and none is
+    silently adopted here. Summation is carried out in exact integer
+    arithmetic, so the result is 1.0 exactly whenever k = n/2.
+    """
+    n, count = _two_sided_count(data, null)
+    return count / 2**n
 
 
 def neg_log_p(data: BinomialOutcome, null: PointHypothesis) -> float:
-    """-ln of the two-sided p-value; exactly 0.0 when p = 1."""
-    p = p_value_two_sided(data, null)
+    """-ln of the two-sided p-value; exactly 0.0 when p = 1.
+
+    When p underflows to 0.0 the value is n ln 2 - ln c, taken on the exact
+    integer count c, so it stays finite for every n.
+    """
+    n, count = _two_sided_count(data, null)
+    p = count / 2**n
     if p == 1.0:
         return 0.0
+    if p == 0.0:
+        return n * math.log(2.0) - math.log(count)
     return -math.log(p)
 
 

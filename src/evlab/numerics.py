@@ -10,8 +10,7 @@ fraction evaluated with the modified Lentz algorithm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 
 class InvalidBracketError(ValueError):
@@ -139,8 +138,14 @@ def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
     return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
 
 
-@dataclass(frozen=True)
-class RootBracket:
+class _RootBracket(NamedTuple):
+    lo: float
+    hi: float
+    tol: float
+    max_iter: int
+
+
+class RootBracket(_RootBracket):
     """A sign-change interval [lo, hi] for bisection.
 
     tol is the absolute tolerance on the argument; the target function
@@ -148,18 +153,16 @@ class RootBracket:
     find_root).
     """
 
-    lo: float
-    hi: float
-    tol: float = 1e-12
-    max_iter: int = 200
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise ValueError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
-        if not self.tol > 0.0:
-            raise ValueError(f"bracket tolerance must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+    def __new__(cls, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200):
+        if not lo < hi:
+            raise ValueError(f"bracket requires lo < hi, got [{lo}, {hi}]")
+        if not tol > 0.0:
+            raise ValueError(f"bracket tolerance must be positive, got {tol}")
+        if max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+        return tuple.__new__(cls, (lo, hi, tol, max_iter))
 
 
 def find_root(f: Callable[[float], float], bracket: RootBracket) -> float:

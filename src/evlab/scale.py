@@ -14,9 +14,8 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .evidence import (
     BinomialOutcome,
@@ -41,8 +40,7 @@ class ScaleType(Enum):
     SIGNED_RATIO = "signed-ratio"
 
 
-@dataclass(frozen=True)
-class TransformationAudit:
+class TransformationAudit(NamedTuple):
     """Classification of a scalar transformation against the permissible families.
 
     order_preserving: strictly increasing on the probed grid.
@@ -151,8 +149,7 @@ def permissible(scale: ScaleType, audit: TransformationAudit) -> bool:
     return audit.positive_scalar
 
 
-@dataclass(frozen=True)
-class DiscordantPair:
+class DiscordantPair(NamedTuple):
     """Two outcomes whose rank order flips between two statistics."""
 
     outcome_a: BinomialOutcome
@@ -163,13 +160,12 @@ class DiscordantPair:
     y_values: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class AgreementConfig:
+class AgreementConfig(NamedTuple):
     """Hypothesis setup under which every statistic kind is computed."""
 
-    null: PointHypothesis = field(default_factory=lambda: PointHypothesis(0.5))
-    alternative: CompositeHypothesis = field(default_factory=uniform_prior)
-    slr_alternative: PointHypothesis = field(default_factory=lambda: PointHypothesis(0.25))
+    null: PointHypothesis = PointHypothesis(0.5)
+    alternative: CompositeHypothesis = uniform_prior()
+    slr_alternative: PointHypothesis = PointHypothesis(0.25)
 
     def alternative_for(self, kind: str) -> Hypothesis | None:
         if kind in ("slr", "logslr"):
@@ -241,8 +237,7 @@ class DiscordantPairs(Sequence[DiscordantPair]):
         return f"<{self._len} discordant pairs>"
 
 
-@dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(NamedTuple):
     """Kendall tau-b between statistics over a data grid.
 
     ``discordant_pairs`` is a lazy, re-iterable sequence of the witnesses
@@ -377,8 +372,7 @@ def rank_order_agreement(
     )
 
 
-@dataclass(frozen=True)
-class DifferenceComparison:
+class DifferenceComparison(NamedTuple):
     """Successive differences of three p-values, raw and after -log transform.
 
     The transformed differences are ln(p1/p2) and ln(p2/p3): the -log map

@@ -14,7 +14,7 @@ strongly the data contradict a pair of point hypotheses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .evidence import (
     CONTINUOUS,
@@ -44,28 +44,29 @@ class NoSignChangeError(RuntimeError):
     """The log Bayes factor does not cross zero inside the search bracket."""
 
 
-@dataclass(frozen=True)
-class TrPResult:
-    """A root of the log Bayes factor in the observed proportion, at fixed n."""
-
+class _TrPResult(NamedTuple):
     n: float
     trp_y: float
     residual: float
     bracket_width: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.trp_y < 1.0:
-            raise ValueError(f"transition point must be in (0,1), got {self.trp_y}")
-        if not 0.0 <= self.residual <= RESIDUAL_LIMIT:
-            raise ValueError(
-                f"root residual {self.residual} exceeds the limit {RESIDUAL_LIMIT}"
-            )
-        if self.bracket_width < 0.0:
-            raise ValueError(f"bracket width must be nonnegative, got {self.bracket_width}")
+
+class TrPResult(_TrPResult):
+    """A root of the log Bayes factor in the observed proportion, at fixed n."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: float, trp_y: float, residual: float, bracket_width: float):
+        if not 0.0 < trp_y < 1.0:
+            raise ValueError(f"transition point must be in (0,1), got {trp_y}")
+        if not 0.0 <= residual <= RESIDUAL_LIMIT:
+            raise ValueError(f"root residual {residual} exceeds the limit {RESIDUAL_LIMIT}")
+        if bracket_width < 0.0:
+            raise ValueError(f"bracket width must be nonnegative, got {bracket_width}")
+        return tuple.__new__(cls, (n, trp_y, residual, bracket_width))
 
 
-@dataclass(frozen=True)
-class CurveEntry:
+class CurveEntry(NamedTuple):
     """One sweep entry: a TrPResult on success, an error message on failure."""
 
     n: float
@@ -218,22 +219,19 @@ def against_both(data: BinomialOutcome, theta1: float, theta2: float) -> float:
     return min(branch(theta1), branch(theta2))
 
 
-@dataclass(frozen=True)
-class ZeroPathPoint:
+class ZeroPathPoint(NamedTuple):
     n: float
     y: float
     log_bf: float
     against_both: float
 
 
-@dataclass(frozen=True)
-class ZeroPathEndpoint:
+class ZeroPathEndpoint(NamedTuple):
     final_log_bf: float
     final_against_both: float
 
 
-@dataclass(frozen=True)
-class ZeroPathReport:
+class ZeroPathReport(NamedTuple):
     """Trace of one route to log BF = 0, with its endpoint summary."""
 
     path_kind: str
@@ -241,8 +239,7 @@ class ZeroPathReport:
     endpoint_summary: ZeroPathEndpoint
 
 
-@dataclass(frozen=True)
-class ZeroPathConfig:
+class ZeroPathConfig(NamedTuple):
     """Setup for a zero-path trace.
 
     h1/h2 define the Bayes factor being traced; against_pair is the pair of
@@ -252,7 +249,7 @@ class ZeroPathConfig:
     """
 
     h1: CompositeHypothesis
-    h2: PointHypothesis = field(default_factory=lambda: PointHypothesis(0.5))
+    h2: PointHypothesis = PointHypothesis(0.5)
     against_pair: tuple[float, float] = (0.25, 0.75)
     y_fixed: float = 0.9
     n_values: tuple[float, ...] = ()

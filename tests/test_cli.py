@@ -104,6 +104,23 @@ class TestCompute:
         assert exc.value.code == 2
         assert "--null" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, names", [
+        (["--n", "10", "--k", "11"], "--n 10 --k 11: require 0 <= k <= n"),
+        (["--n", "10.5", "--k", "3"], "--n 10.5 --k 3: exact mode requires integer"),
+        (["--n", "-1", "--k", "0"], "--n -1 --k 0: trial count must be nonnegative"),
+        (["--n", "10", "--k", "3", "--support", "0.5,0.2", "--kinds", "logbf"],
+         "--support 0.5,0.2: support must be a positive-width subinterval"),
+    ])
+    def test_invalid_data_is_usage_error(self, capsys, flags, names):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", *flags])
+        assert exc.value.code == 2
+        assert names in capsys.readouterr().err
+
+    def test_support_is_checked_only_for_bf_kinds(self, capsys):
+        status, _ = run_cli(capsys, "compute", "--n", "10", "--k", "3", "--support", "0.5,0.2")
+        assert status == 0
+
     def test_computation_error_exits_one(self, capsys):
         # p-value needs integer data: continuous mode fails at compute time
         status = main(["compute", "--n", "2.5", "--k", "1.0", "--mode", "continuous",

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -168,6 +169,14 @@ class TestNegLogP:
         expected = -math.log(2.0 / 1024.0)
         assert neg_log_p(BinomialOutcome(10, 10), FAIR) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(6.238, abs=5e-4)
+
+    @pytest.mark.parametrize("n, k", [(3000, 10), (5000, 0)])
+    def test_finite_where_p_underflows(self, n, k):
+        assert p_value_two_sided(BinomialOutcome(n, k), FAIR) == 0.0
+        mpmath.mp.dps = 50
+        p = sum(mpmath.binomial(n, j) for j in range(n + 1) if abs(2 * j - n) >= abs(2 * k - n))
+        expected = float(-mpmath.log(p / mpmath.mpf(2) ** n))
+        assert neg_log_p(BinomialOutcome(n, k), FAIR) == pytest.approx(expected, rel=1e-13)
 
 
 class TestLogMlr:

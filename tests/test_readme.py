@@ -41,3 +41,19 @@ def test_readme_example_runs(line, capsys, tmp_path, monkeypatch):
     subcommand = " ".join(argv[:2]) if argv[0] == "audit" else argv[0]
     assert lines[0] == _headers()[subcommand]
     assert len(lines) >= 2
+
+
+def test_readme_library_usage_runs(capsys):
+    section = README[README.index("## Library usage"):]
+    code = re.search(r"```python\n(.*?)```", section, flags=re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    calls = [line for line in code.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(calls)
+    assert printed[calls.index(next(c for c in calls if "discordant_pairs" in c))] == "21902"
+    for line, out in zip(calls, printed):
+        # a comment that opens with a number gives the value to its last digit
+        documented = re.search(r"# ([0-9]+)(\.[0-9]+)?", line)
+        if documented:
+            places = len(documented.group(2) or ".") - 1
+            assert abs(float(out) - float(documented.group(0)[2:])) < 10**-places, line
