@@ -10,6 +10,7 @@ handled by the command-line layer.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple, Union
 
 from .numerics import log_beta, log_binomial_coeff, regularized_incomplete_beta
@@ -32,6 +33,8 @@ EVIDENCE_KINDS = (
 )
 # Kinds whose value lives on a log scale (subject to display-base rescaling).
 LOG_SCALE_KINDS = frozenset({"neglogp", "logmlr", "logslr", "logbf", "abslogbf"})
+# Each ratio kind is exp of a log kind.
+RATIO_LOG_KINDS = {"mlr": "logmlr", "slr": "logslr", "bf": "logbf"}
 
 
 class UnsupportedNullError(ValueError):
@@ -180,8 +183,15 @@ def _two_sided_count(data: BinomialOutcome, null: PointHypothesis) -> tuple[int,
     k = int(data.k)
     if n < 1:
         raise ValueError(f"p-value requires n >= 1, got n={n}")
-    dist = abs(2 * k - n)  # twice the distance from n/2, kept integral
-    return n, sum(math.comb(n, j) for j in range(n + 1) if abs(2 * j - n) >= dist)
+    low = min(k, n - k)
+    if 2 * low == n:
+        return n, 2**n
+    # One tail by the ratio C(n, j+1) = C(n, j) (n-j) / (j+1); the other mirrors it.
+    tail, term = 0, 1
+    for j in range(low + 1):
+        tail += term
+        term = term * (n - j) // (j + 1)
+    return n, 2 * tail
 
 
 def p_value_two_sided(data: BinomialOutcome, null: PointHypothesis) -> float:
@@ -199,14 +209,15 @@ def p_value_two_sided(data: BinomialOutcome, null: PointHypothesis) -> float:
 def neg_log_p(data: BinomialOutcome, null: PointHypothesis) -> float:
     """-ln of the two-sided p-value; exactly 0.0 when p = 1.
 
-    When p underflows to 0.0 the value is n ln 2 - ln c, taken on the exact
-    integer count c, so it stays finite for every n.
+    Where p is below the smallest normal double (or underflows to 0.0) the
+    value is n ln 2 - ln c, taken on the exact integer count c, so it keeps
+    full precision and stays finite for every n.
     """
     n, count = _two_sided_count(data, null)
     p = count / 2**n
     if p == 1.0:
         return 0.0
-    if p == 0.0:
+    if p < sys.float_info.min:
         return n * math.log(2.0) - math.log(count)
     return -math.log(p)
 
@@ -237,13 +248,47 @@ def log_slr(data: BinomialOutcome, h1: PointHypothesis, h2: PointHypothesis) -> 
 
 
 def _log_truncated_beta_mass(a: float, b: float, lo: float, hi: float) -> float:
-    """ln of integral of t^(a-1) (1-t)^(b-1) over [lo, hi]."""
-    delta = regularized_incomplete_beta(hi, a, b) - regularized_incomplete_beta(lo, a, b)
+    """ln of integral of t^(a-1) (1-t)^(b-1) over [lo, hi].
+
+    An interval above the mean a/(a+b) is measured in the mirrored upper
+    tail, I_{1-lo}(b, a) - I_{1-hi}(b, a), where 1 - I_lo(a, b) would cancel.
+    """
+    if lo > a / (a + b):
+        delta = (regularized_incomplete_beta(1.0 - lo, b, a)
+                 - regularized_incomplete_beta(1.0 - hi, b, a))
+    else:
+        delta = regularized_incomplete_beta(hi, a, b) - regularized_incomplete_beta(lo, a, b)
     if delta <= 0.0:
         raise DegeneratePriorError(
             f"Beta({a}, {b}) mass on [{lo}, {hi}] underflows to zero"
         )
     return log_beta(a, b) + math.log(delta)
+
+
+# The exact path's cost grows with its integers' size: at this budget (n <= 511
+# at 1/2 under a uniform prior) it is up to about 4x the float path's.
+_EXACT_BF_BITS = 1024
+
+
+def _exact_log_bf(data: BinomialOutcome, h1: CompositeHypothesis, theta0: float) -> float | None:
+    """ln BF rounded once from the exact rational, so equal BFs give equal doubles. None
+    unless exact data meet integer prior shapes on (0, 1) and the integers fit the budget."""
+    (lo, hi), a, b = h1
+    t, q = theta0.as_integer_ratio()  # q is a power of two
+    if not (data.mode == EXACT and (lo, hi) == (0.0, 1.0) and a % 1 == b % 1 == 0
+            and data.n * q.bit_length() + a + b <= _EXACT_BF_BITS):  # bounds den's bits
+        return None
+    n, k, a, b = int(data.n), int(data.k), int(a), int(b)
+    # B(x, y) = 1 / ((x+y-1) C(x+y-2, x-1)) for integers x, y >= 1
+    num = (a + b - 1) * math.comb(a + b - 2, a - 1) * q**n
+    den = (n + a + b - 1) * math.comb(n + a + b - 2, k + a - 1) * t**k * (q - t) ** (n - k)
+    try:
+        if (ratio := num / den) >= sys.float_info.min:  # int division rounds once
+            return math.log(ratio)
+    except OverflowError:
+        pass
+    g = math.gcd(num, den)  # outside the normal range: log the reduced pair
+    return math.log(num // g) - math.log(den // g)
 
 
 def log_bf(data: BinomialOutcome, h1: Hypothesis, h2: PointHypothesis) -> float:
@@ -263,6 +308,8 @@ def log_bf(data: BinomialOutcome, h1: Hypothesis, h2: PointHypothesis) -> float:
     """
     if isinstance(h1, PointHypothesis):
         return log_slr(data, h1, h2)
+    if (exact := _exact_log_bf(data, h1, h2.theta0)) is not None:
+        return exact
     lo, hi = h1.support
     log_prior_mass = _log_truncated_beta_mass(h1.a, h1.b, lo, hi)
     post_a = data.k + h1.a
@@ -303,6 +350,14 @@ def log_bf_irrelevant_data(m: int) -> float:
     return 0.0
 
 
+def exp_or_inf(log_value: float) -> float:
+    """A ratio from its natural log: inf past ln of the largest double (about 709.78)."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
+
+
 def compute_evidence(
     kind: str,
     data: BinomialOutcome,
@@ -336,11 +391,8 @@ def compute_evidence(
         value, hypotheses = log_slr(data, alternative, null), (alternative, null)
     else:
         value, hypotheses = log_bf(data, alternative, null), (alternative, null)
-    if kind in ("mlr", "slr", "bf"):
-        try:
-            value = math.exp(value)
-        except OverflowError:
-            value = math.inf
+    if kind in RATIO_LOG_KINDS:
+        value = exp_or_inf(value)
     elif kind == "abslogbf":
         value = abs(value)
     return EvidenceValue(kind, value, data, hypotheses)

@@ -1,9 +1,8 @@
 """Self-contained special functions and bracketed root-finding.
 
 Everything operates in natural-log space so that binomial likelihoods stay
-finite for large trial counts. No third-party dependencies: the gamma
-function uses a Lanczos approximation with a fixed published coefficient
-set, and the regularized incomplete beta uses the standard continued
+finite for large trial counts. No third-party dependencies: log-gamma is
+``math.lgamma``, and the regularized incomplete beta is the standard continued
 fraction evaluated with the modified Lentz algorithm.
 """
 
@@ -21,29 +20,6 @@ class ConvergenceError(RuntimeError):
     """An iterative evaluation failed to converge within its iteration cap."""
 
 
-# Lanczos approximation, g = 607/128, 15 terms (Godfrey's coefficient set,
-# as used by e.g. Apache Commons Math). Double-precision accurate for the
-# log-gamma function over the positive reals.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
 # Continued-fraction controls for the incomplete beta function. The iteration
 # cap is this floor plus sqrt(max(a, b)); the count needed near x = a/(a+b)
 # grows only about like the cube root of the shapes (889 at a = b = 5e6).
@@ -53,17 +29,10 @@ _BETACF_TINY = 1e-300
 
 
 def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0.
-
-    Raises ValueError for x <= 0.
-    """
+    """Natural log of the gamma function (math.lgamma); ValueError unless x > 0."""
     if not x > 0.0:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
-    series = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        series += _LANCZOS[i] / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return (x + 0.5) * math.log(t) - t + _HALF_LOG_TWO_PI + math.log(series / x)
+    return math.lgamma(x)
 
 
 def log_beta(a: float, b: float) -> float:

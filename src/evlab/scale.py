@@ -22,7 +22,9 @@ from .evidence import (
     CompositeHypothesis,
     Hypothesis,
     PointHypothesis,
+    RATIO_LOG_KINDS,
     compute_evidence,
+    exp_or_inf,
     uniform_prior,
 )
 from .numerics import linspace
@@ -175,12 +177,20 @@ class AgreementConfig(NamedTuple):
         return None
 
 
+def _reported(kind: str, values: tuple[float, float]) -> tuple[float, float]:
+    """Two ranked column values as the statistic reports them."""
+    if kind in RATIO_LOG_KINDS:
+        return exp_or_inf(values[0]), exp_or_inf(values[1])
+    return values
+
+
 class DiscordantPairs(Sequence[DiscordantPair]):
     """The discordant pairs of an agreement report, generated on demand.
 
-    Holds the kept outcomes, one value column per statistic and the
-    discordant count of each compared kind pair, so its memory is linear in
-    the number of outcomes however many pairs reverse. ``len`` is the total
+    Holds the kept outcomes, the ranked value column of each statistic (a
+    ratio kind's is its log column) and the discordant count of each
+    compared kind pair, so its memory is linear in the number of outcomes
+    however many pairs reverse. ``len`` is the total
     count; iteration, which may be repeated, yields the pairs in the
     report's order: kind pairs in the order of ``statistic_kinds``, then
     outcome index pairs i < j lexicographically. Indexing walks to the
@@ -215,7 +225,8 @@ class DiscordantPairs(Sequence[DiscordantPair]):
             for j in range(i + 1, m):
                 xj, yj = xs[j], ys[j]
                 if (xi > xj and yi < yj) or (xi < xj and yi > yj):
-                    yield DiscordantPair(outcomes[i], outcomes[j], kx, ky, (xi, xj), (yi, yj))
+                    yield DiscordantPair(outcomes[i], outcomes[j], kx, ky,
+                                         _reported(kx, (xi, xj)), _reported(ky, (yi, yj)))
                     count -= 1
             i += 1
 
@@ -323,10 +334,13 @@ def rank_order_agreement(
 
     Ties are handled with the tau-b correction, since grids of discrete
     outcomes produce exact ties (every balanced outcome has p = 1, for
-    instance). Outcomes on which some statistic cannot be computed are
-    excluded from all comparisons and reported. Deterministic given the
-    grid order. Time is O(m log m) per kind pair and memory O(m) for m
-    kept outcomes; the witnesses are generated only when read.
+    instance, and equal rational Bayes factors within the exact range of
+    evidence.log_bf). The ratio kinds mlr, slr and bf are ranked by their
+    logs; their witnesses show the ratio. Outcomes on which some statistic
+    cannot be computed are excluded from all comparisons and reported.
+    Deterministic given the grid order. Time is O(m log m) per kind pair
+    and memory O(m) for m kept outcomes; the witnesses are generated only
+    when read.
     """
     if not grid:
         raise ValueError("agreement requires a nonempty outcome grid")
@@ -334,8 +348,10 @@ def rank_order_agreement(
         config = AgreementConfig()
     kinds = tuple(kinds)
 
-    # One column per distinct kind; a repeated kind shares its column.
-    columns: dict[str, list[float]] = {k: [] for k in kinds}
+    # One column per distinct ranked statistic: a repeated kind, and a ratio
+    # kind and its log kind, share one. Ranked by the log, the outcomes whose
+    # ratio overflows to inf (log past about 709.78) do not tie.
+    columns: dict[str, list[float]] = {RATIO_LOG_KINDS.get(k, k): [] for k in kinds}
     kept: list[BinomialOutcome] = []
     excluded: list[tuple[BinomialOutcome, str]] = []
     for outcome in grid:
@@ -352,12 +368,13 @@ def rank_order_agreement(
         kept.append(outcome)
         for column, value in zip(columns.values(), row):
             column.append(value)
+    ranked = {kind: columns[RATIO_LOG_KINDS.get(kind, kind)] for kind in kinds}
 
     taus: dict[tuple[str, str], float] = {}
     counts: list[tuple[str, str, int]] = []
     for xi, kx in enumerate(kinds):
         for yi, ky in enumerate(kinds[xi:], start=xi):
-            tau, discordant = _kendall_tau_b(columns[kx], columns[ky])
+            tau, discordant = _kendall_tau_b(ranked[kx], ranked[ky])
             taus[(kx, ky)] = taus[(ky, kx)] = tau
             if yi > xi:
                 counts.append((kx, ky, discordant))
@@ -367,7 +384,7 @@ def rank_order_agreement(
         dataset_grid=outcomes,
         statistic_kinds=kinds,
         kendall_tau=taus,
-        discordant_pairs=DiscordantPairs(outcomes, columns, counts),
+        discordant_pairs=DiscordantPairs(outcomes, ranked, counts),
         excluded=tuple(excluded),
     )
 

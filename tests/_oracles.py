@@ -3,8 +3,10 @@
 Each oracle deliberately avoids the code path it validates: binomial
 coefficients come from the additive Pascal recurrence rather than any
 gamma function, p-values from exact rational summation, marginal
-likelihoods from adaptive quadrature rather than the closed beta form, and
-Kendall tau-b from a sign for every pair rather than a merge sort.
+likelihoods from adaptive quadrature rather than the closed beta form, the
+exact order of the ratio statistics from rationals built on factorials
+rather than binomial coefficients, and Kendall tau-b from a sign for every
+pair rather than a merge sort.
 """
 
 from __future__ import annotations
@@ -30,6 +32,30 @@ def p_value_fraction(n: int, k: int) -> Fraction:
     dist = abs(2 * k - n)
     total = sum(c for j, c in enumerate(row) if abs(2 * j - n) >= dist)
     return Fraction(total, 2**n)
+
+
+def beta_fraction(x: int, y: int) -> Fraction:
+    """The Beta integral B(x, y) = (x-1)! (y-1)! / (x+y-1)! for integers x, y >= 1."""
+    return Fraction(math.factorial(x - 1) * math.factorial(y - 1), math.factorial(x + y - 1))
+
+
+def bf_fraction(n: int, k: int, theta0: float, a: int = 1, b: int = 1) -> Fraction:
+    """Bayes factor of a Beta(a, b) prior on (0, 1) against the point theta0,
+    exactly (a double theta0 is a rational)."""
+    theta = Fraction(theta0)
+    point = theta**k * (1 - theta) ** (n - k)
+    return beta_fraction(k + a, n - k + b) / beta_fraction(a, b) / point
+
+
+def slr_fraction(n: int, k: int, theta1: float, theta2: float) -> Fraction:
+    """Simple likelihood ratio of theta1 against theta2, exactly."""
+    t1, t2 = Fraction(theta1), Fraction(theta2)
+    return (t1 / t2) ** k * ((1 - t1) / (1 - t2)) ** (n - k)
+
+
+def mlr_fraction(n: int, k: int, theta0: float) -> Fraction:
+    """Maximum likelihood ratio against theta0, exactly (0**0 = 1)."""
+    return slr_fraction(n, k, Fraction(k, n), theta0)
 
 
 def _log_lik(n: float, k: float, theta: float) -> float:

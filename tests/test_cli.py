@@ -92,6 +92,18 @@ class TestCompute:
         assert status == 0
         assert '"value":Infinity' in out.splitlines()[0]
 
+    @pytest.mark.parametrize("argv, value", [
+        # p is subnormal: -ln p would keep only the bits p has left (740.913711397)
+        (["--n", "1080", "--k", "1", "--kinds", "neglogp"], "740.920166007"),
+        # the posterior mass on [1/2, 1] is an upper tail that 1 - I would cancel
+        (["--n", "146", "--k", "0", "--bf", "uniform", "--support", "0.5,1"], "-4.99043258678"),
+    ])
+    def test_full_precision_at_the_edges(self, capsys, argv, value):
+        status, out = run_cli(capsys, "compute", *argv)
+        assert status == 0
+        _, rows = parse_csv(out)
+        assert rows[0]["value"] == value
+
     def test_unknown_kind_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["compute", "--n", "4", "--k", "2", "--kinds", "entropy"])
@@ -321,6 +333,21 @@ class TestAudit:
         assert len(witness_rows) >= 1
         first = witness_rows[0]
         assert (first["n_a"], first["k_a"], first["n_b"], first["k_b"]) == ("2", "0", "2", "1")
+
+    @pytest.mark.parametrize("argv, tau, witnesses", [
+        # taus and counts as tau_b and discordant_count of _oracles give them
+        # on the exact rationals (mlr_fraction, bf_fraction, p_value_fraction)
+        (["--max-n", "30", "--kinds", "neglogp,abslogbf"], "0.633067205409", 21902),
+        (["--min-n", "5", "--max-n", "8", "--kinds", "logmlr,abslogbf"], "0.386174290989", 128),
+        # mlr is ranked by logmlr, so its outcomes printed as inf stay ordered
+        (["--min-n", "1095", "--max-n", "1100", "--kinds", "mlr,logmlr"], "1", 0),
+    ])
+    def test_agreement_ranks_exact_ties(self, capsys, argv, tau, witnesses):
+        status, out = run_cli(capsys, "audit", "agreement", *argv)
+        assert status == 0
+        _, rows = parse_csv(out)
+        assert rows[1]["row_type"] == "tau" and rows[1]["tau"] == tau
+        assert len([r for r in rows if r["row_type"] == "discordant"]) == witnesses
 
     def test_agreement_witness_cap(self, capsys):
         _, out = run_cli(

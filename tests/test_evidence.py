@@ -1,10 +1,12 @@
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import given, settings, strategies as st
+from scipy import integrate, stats
 
 from evlab.evidence import (
     CONTINUOUS,
@@ -25,9 +27,19 @@ from evlab.evidence import (
     p_value_two_sided,
     support_label,
     uniform_prior,
+    _EXACT_BF_BITS,
+    _exact_log_bf,
 )
+from evlab.scale import AgreementConfig, outcome_grid
 
-from _oracles import p_value_fraction, pascal_row, quad_log_bf
+from _oracles import (
+    bf_fraction,
+    mlr_fraction,
+    p_value_fraction,
+    pascal_row,
+    quad_log_bf,
+    slr_fraction,
+)
 
 FAIR = PointHypothesis(0.5)
 
@@ -141,6 +153,16 @@ class TestPValue:
                 expected = float(p_value_fraction(n, k))
                 assert p_value_two_sided(BinomialOutcome(n, k), FAIR) == expected, (n, k)
 
+    @pytest.mark.parametrize("n", [599, 600])
+    def test_matches_enumeration_oracle_at_larger_n(self, n):
+        for k in (0, 1, 137, n // 2 - 1, n // 2, (n + 1) // 2, n - 5, n):
+            expected = float(p_value_fraction(n, k))
+            assert p_value_two_sided(BinomialOutcome(n, k), FAIR) == expected, (n, k)
+
+    def test_large_n_in_one_pass(self):
+        got = p_value_two_sided(BinomialOutcome(20000, 9800), FAIR)
+        assert got == pytest.approx(2.0 * stats.binom.cdf(9800, 20000, 0.5), rel=1e-10)
+
     def test_monotone_in_distance(self):
         for n in (17, 20):
             by_distance = sorted(range(n + 1), key=lambda k: abs(2 * k - n))
@@ -177,6 +199,14 @@ class TestNegLogP:
         p = sum(mpmath.binomial(n, j) for j in range(n + 1) if abs(2 * j - n) >= abs(2 * k - n))
         expected = float(-mpmath.log(p / mpmath.mpf(2) ** n))
         assert neg_log_p(BinomialOutcome(n, k), FAIR) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("n, k", [(1080, 1), (1074, 0), (1070, 4)])
+    def test_full_precision_where_p_is_subnormal(self, n, k):
+        assert 0.0 < p_value_two_sided(BinomialOutcome(n, k), FAIR) < sys.float_info.min
+        mpmath.mp.dps = 50
+        count = 2 * sum(mpmath.binomial(n, j) for j in range(min(k, n - k) + 1))
+        expected = float(n * mpmath.log(2) - mpmath.log(count))
+        assert neg_log_p(BinomialOutcome(n, k), FAIR) == pytest.approx(expected, rel=1e-14)
 
 
 class TestLogMlr:
@@ -270,6 +300,12 @@ class TestLogBf:
             expected = quad_log_bf(n, k, (0.1, 0.8), 0.5, a=2.0, b=3.0)
             assert abs(got - expected) <= 1e-9
 
+    @pytest.mark.parametrize("n", [146, 400, 1000])
+    def test_upper_tail_mass_does_not_cancel(self, n):
+        # the marginal likelihood on [1/2, 1] is 2 * 2**-(n+1) / (n+1)
+        got = log_bf(BinomialOutcome(n, 0), uniform_prior(0.5, 1.0), FAIR)
+        assert got == pytest.approx(-math.log(n + 1), rel=1e-13)
+
     def test_point_point_dispatches_to_slr(self):
         h1 = PointHypothesis(0.25)
         h2 = PointHypothesis(0.75)
@@ -286,6 +322,106 @@ class TestLogBf:
         data = BinomialOutcome(5000.0, 4950.0, CONTINUOUS)
         with pytest.raises(DegeneratePriorError):
             log_bf(data, h1, FAIR)
+
+
+class TestExactLogBf:
+    """Exact-mode Bayes factors with integer prior shapes on (0, 1) are
+    rationals, computed exactly and rounded once within _EXACT_BF_BITS."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), a=st.integers(1, 5), b=st.integers(1, 5), bits=st.integers(1, 12))
+    def test_agrees_with_the_float_path(self, data, a, b, bits):
+        # theta0 = t / 2**bits with t odd, so q = 2**bits
+        theta0 = (2 * data.draw(st.integers(0, 2 ** (bits - 1) - 1)) + 1) / 2**bits
+        n = data.draw(st.integers(0, (_EXACT_BF_BITS - a - b) // (bits + 1)))
+        k = data.draw(st.integers(0, n))
+        h1, h2 = CompositeHypothesis((0.0, 1.0), a, b), PointHypothesis(theta0)
+        exact = _exact_log_bf(BinomialOutcome(n, k), h1, theta0)
+        assert exact is not None
+        assert exact == log_bf(BinomialOutcome(n, k), h1, h2)
+        float_path = log_bf(BinomialOutcome(n, k, CONTINUOUS), h1, h2)
+        assert abs(exact - float_path) <= 1e-12 * max(1.0, abs(exact))
+
+    def test_ties_across_n_are_exact(self):
+        # BF(2m+1, m) = BF(2m, m) = BF(2m+1, m+1) under the uniform prior at 1/2
+        n_max = (_EXACT_BF_BITS - 2) // 2
+        assert n_max == 511
+        for m in range(n_max // 2 + 1):
+            odd_low = log_bf(BinomialOutcome(2 * m + 1, m), uniform_prior(), FAIR)
+            even = log_bf(BinomialOutcome(2 * m, m), uniform_prior(), FAIR)
+            odd_high = log_bf(BinomialOutcome(2 * m + 1, m + 1), uniform_prior(), FAIR)
+            assert odd_low == even == odd_high, m
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), a=st.integers(1, 5))
+    def test_mirror_symmetry_is_exact(self, data, a):
+        n = data.draw(st.integers(0, (_EXACT_BF_BITS - 2 * a) // 2))
+        k = data.draw(st.integers(0, n))
+        h1 = CompositeHypothesis((0.0, 1.0), a, a)
+        mirrored = log_bf(BinomialOutcome(n, n - k), h1, FAIR)
+        assert log_bf(BinomialOutcome(n, k), h1, FAIR) == mirrored
+
+    @pytest.mark.parametrize("n, k, theta0, a, b", [
+        (10, 2, 0.5, 1, 1), (511, 255, 0.5, 1, 1), (300, 17, 0.25, 2, 5),
+        (15, 14, 0.1, 3, 1), (80, 0, 2.0**-10, 1, 4),
+    ])
+    def test_matches_the_rational_oracle(self, n, k, theta0, a, b):
+        h1 = CompositeHypothesis((0.0, 1.0), a, b)
+        got = log_bf(BinomialOutcome(n, k), h1, PointHypothesis(theta0))
+        assert _exact_log_bf(BinomialOutcome(n, k), h1, theta0) == got
+        bf = bf_fraction(n, k, theta0, a, b)
+        mpmath.mp.dps = 50
+        expected = float(mpmath.log(mpmath.mpf(bf.numerator) / bf.denominator))
+        assert got == pytest.approx(expected, rel=1e-15, abs=1e-15)
+
+    def test_out_of_range_ratio_stays_finite(self):
+        # BF = 1 / (n+1) / 2**-(60n) at theta0 = 2**-60: far past the largest double
+        theta0 = 2.0**-60
+        got = log_bf(BinomialOutcome(15, 15), uniform_prior(), PointHypothesis(theta0))
+        assert _exact_log_bf(BinomialOutcome(15, 15), uniform_prior(), theta0) == got
+        assert got == pytest.approx(15 * 60 * math.log(2.0) - math.log(16), rel=1e-15)
+
+    @pytest.mark.parametrize("data, h1", [
+        (BinomialOutcome(10.0, 3.0, CONTINUOUS), uniform_prior()),
+        (BinomialOutcome(10, 3), uniform_prior(0.0, 0.5)),
+        (BinomialOutcome(10, 3), CompositeHypothesis((0.0, 1.0), 1.5, 1.0)),
+        (BinomialOutcome(512, 3), uniform_prior()),
+    ])
+    def test_float_path_elsewhere(self, data, h1):
+        assert _exact_log_bf(data, h1, 0.5) is None
+
+
+# The six ranked kinds of an agreement audit and keys from exact rationals
+# that order the outcomes as the kinds do (neglogp reverses the p-value).
+EXACT_ORDER_KEYS = {
+    "pvalue": lambda n, k: p_value_fraction(n, k),
+    "neglogp": lambda n, k: -p_value_fraction(n, k),
+    "logmlr": lambda n, k: mlr_fraction(n, k, 0.5),
+    "logslr": lambda n, k: slr_fraction(n, k, 0.25, 0.5),
+    "logbf": lambda n, k: bf_fraction(n, k, 0.5),
+    "abslogbf": lambda n, k: max(bf_fraction(n, k, 0.5), 1 / bf_fraction(n, k, 0.5)),
+}
+
+
+@pytest.mark.parametrize("kind", list(EXACT_ORDER_KEYS))
+def test_values_keep_the_exact_order(kind):
+    """Every pairwise order on the n <= 60 grid is the exact one: with the
+    outcomes sorted by the exact key, equal keys have equal values and each
+    step to a larger key is a strictly larger value."""
+    config = AgreementConfig()
+    outcomes = sorted(outcome_grid(60), key=lambda o: EXACT_ORDER_KEYS[kind](o.n, o.k))
+    keys = [EXACT_ORDER_KEYS[kind](o.n, o.k) for o in outcomes]
+    values = [
+        compute_evidence(kind, o, null=config.null, alternative=config.alternative_for(kind)).value
+        for o in outcomes
+    ]
+    broken = [
+        (outcomes[i], outcomes[i + 1])
+        for i in range(len(outcomes) - 1)
+        if (values[i] == values[i + 1]) != (keys[i] == keys[i + 1])
+        or values[i] > values[i + 1]
+    ]
+    assert broken == []
 
 
 class TestAbsLogBf:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from evlab.evidence import BinomialOutcome
+from evlab.evidence import BinomialOutcome, exp_or_inf
 from evlab.scale import (
     AgreementConfig,
     DegenerateGridError,
@@ -301,8 +301,21 @@ class TestRankOrderAgreement:
         assert report.excluded == ()
         assert len(report.dataset_grid) == 1101
         assert report.kendall_tau[("mlr", "mlr")] == 1.0
-        # the inf values tie among themselves where logmlr still orders them
-        assert 0.99 < report.kendall_tau[("mlr", "logmlr")] < 1.0
+        # mlr is ranked by its log column, so the outcomes it reports as inf
+        # are ordered as logmlr orders them
+        assert report.kendall_tau[("mlr", "logmlr")] == 1.0
+
+    def test_ratio_witnesses_show_the_ratio(self):
+        # above n/2, mlr grows with k and logslr (1/4 against 1/2) falls;
+        # mlr is inf from k = 1091
+        grid = [BinomialOutcome(1100, k) for k in range(1060, 1101)]
+        pairs = list(rank_order_agreement(grid, ["mlr", "logslr"]).discordant_pairs)
+        logs = rank_order_agreement(grid, ["logmlr", "logslr"]).discordant_pairs
+        assert len(pairs) == len(logs) == 41 * 40 // 2
+        for pair, log_pair in zip(pairs, logs):
+            assert pair.outcome_a == log_pair.outcome_a and pair.outcome_b == log_pair.outcome_b
+            assert pair.x_values == tuple(map(exp_or_inf, log_pair.x_values))
+        assert (math.inf, math.inf) in {pair.x_values for pair in pairs}
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
