@@ -21,17 +21,19 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 # so that a cold start of any other subcommand loads neither.
 from . import evidence, transition
 from .evidence import (
+    BF_KINDS,
     CONTINUOUS,
     EXACT,
     EVIDENCE_KINDS,
     LOG_SCALE_KINDS,
+    SLR_KINDS,
     BinomialOutcome,
     CompositeHypothesis,
     PointHypothesis,
     compute_evidence,
     support_label,
 )
-from .numerics import linspace
+from .numerics import DEFAULT_TOL, linspace
 
 # Default observed-proportion window for curve grids; the log Bayes factor
 # diverges at the extremes.
@@ -60,11 +62,8 @@ def _fmt_cell(value) -> str:
 
 
 def _json_cell(value):
-    if isinstance(value, float):
-        if value == 0.0:
-            value = 0.0
-        return float(f"{value:.12g}")
-    return value
+    """JSONL rendering: a float as the number its CSV cell shows."""
+    return float(_fmt_cell(value)) if isinstance(value, float) else value
 
 
 def write_rows(spec: OutputSpec, header: list[str], rows: Iterable[dict]) -> None:
@@ -104,18 +103,19 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
-def _pair(text: str) -> tuple[float, float]:
-    values = _float_list(text)
-    if len(values) != 2:
-        raise argparse.ArgumentTypeError(f"expected two comma-separated numbers, got {text!r}")
-    return values[0], values[1]
+def _numbers(count: int) -> Callable[[str], tuple[float, ...]]:
+    """Parser for exactly `count` comma-separated numbers."""
+    word = {2: "two", 3: "three"}[count]
 
+    def parse(text: str) -> tuple[float, ...]:
+        values = _float_list(text)
+        if len(values) != count:
+            raise argparse.ArgumentTypeError(
+                f"expected {word} comma-separated numbers, got {text!r}"
+            )
+        return tuple(values)
 
-def _triple(text: str) -> tuple[float, float, float]:
-    values = _float_list(text)
-    if len(values) != 3:
-        raise argparse.ArgumentTypeError(f"expected three comma-separated numbers, got {text!r}")
-    return values[0], values[1], values[2]
+    return parse
 
 
 def _open_unit(text: str) -> float:
@@ -167,7 +167,7 @@ def _prior_spec(text: str) -> tuple[float, float]:
         return (1.0, 1.0)
     if text.startswith("beta:"):
         try:
-            a, b = _pair(text[len("beta:"):])
+            a, b = _numbers(2)(text[len("beta:"):])
         except argparse.ArgumentTypeError:
             raise argparse.ArgumentTypeError(f"expected beta:a,b with numeric shapes, got {text!r}")
         if a <= 0 or b <= 0:
@@ -189,7 +189,7 @@ def _transform_spec(text: str) -> tuple[str, Callable[[float], float]]:
         return text, _TRANSFORMS[text]
     if text.startswith("affine:"):
         try:
-            slope, intercept = _pair(text[len("affine:"):])
+            slope, intercept = _numbers(2)(text[len("affine:"):])
         except argparse.ArgumentTypeError:
             raise argparse.ArgumentTypeError(
                 f"expected affine:slope,intercept with numbers, got {text!r}"
@@ -203,6 +203,23 @@ def _transform_spec(text: str) -> tuple[str, Callable[[float], float]]:
 def _scale_factor(args: argparse.Namespace) -> float:
     """Display rescaling for log-valued cells: natural log to the chosen base."""
     return 1.0 / math.log(args.log_base)
+
+
+# Flags that several subcommands share, each declared here once:
+# flag -> (type, default, help).
+_SHARED_FLAGS = {
+    "--null": (_open_unit, 0.5, "point null success probability"),
+    "--theta1": (_open_unit, 0.25, "point H1 of slr/logslr, figure1 a and trp --setup simple"),
+    "--theta2": (_open_unit, 0.75, "point H2 of slr/logslr, figure1 a and trp --setup simple"),
+    "--tol": (_positive, DEFAULT_TOL, "root-finder tolerance on the observed proportion"),
+}
+
+
+def _add_shared_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        kind, default, help_text = _SHARED_FLAGS[flag]
+        parser.add_argument(flag, type=kind, default=default,
+                            help=f"{help_text} (default %(default)g)")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -239,10 +256,10 @@ def cmd_compute(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
     rows = []
     for kind in kinds:
         denominator, alternative = null, None
-        if kind in ("slr", "logslr"):
+        if kind in SLR_KINDS:
             # slr kinds compare the theta1/theta2 point pair
             denominator, alternative = PointHypothesis(args.theta2), PointHypothesis(args.theta1)
-        elif kind in ("bf", "logbf", "abslogbf"):
+        elif kind in BF_KINDS:
             # without --bf the prior is the library's default, uniform
             alternative = _usage_checked("--support %g,%g" % args.support, CompositeHypothesis,
                                          args.support, *(args.bf or ()))
@@ -257,7 +274,6 @@ def cmd_figure1(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
     factor = _scale_factor(args)
     y_grid = linspace(_Y_MIN, _Y_MAX, args.grid)
     header = ["variant", "n", "y", "log_es", "abs_log_es", "side", "row_type"]
-    rows = []
 
     if args.variant == "a":
         h1, h2 = PointHypothesis(args.theta1), PointHypothesis(args.theta2)
@@ -271,73 +287,53 @@ def cmd_figure1(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
         def trp_for(n: float) -> float:
             return transition.trp_composite(n, h1, h2, args.tol).trp_y
 
-    def log_es(n: float, y: float) -> float:
+    def row(n: float, y: float, row_type: str) -> dict:
         # for a point h1 the Bayes factor is the simple likelihood ratio
-        return evidence.log_bf(BinomialOutcome(n, y * n, CONTINUOUS), h1, h2)
+        value = evidence.log_bf(BinomialOutcome(n, y * n, CONTINUOUS), h1, h2)
+        # a trp row sits on a root, where the value is only the root residual
+        side = support_label(value) if row_type == "curve" else "transition point"
+        return {"variant": args.variant, "n": n, "y": y, "log_es": value * factor,
+                "abs_log_es": abs(value) * factor, "side": side, "row_type": row_type}
 
+    rows = []
     for n in args.n:
-        for y in y_grid:
-            value = log_es(n, y)
-            rows.append({
-                "variant": args.variant, "n": n, "y": y,
-                "log_es": value * factor, "abs_log_es": abs(value) * factor,
-                "side": support_label(value), "row_type": "curve",
-            })
-        trp_y = trp_for(n)
-        value = log_es(n, trp_y)
-        rows.append({
-            "variant": args.variant, "n": n, "y": trp_y,
-            "log_es": value * factor, "abs_log_es": abs(value) * factor,
-            "side": "transition point", "row_type": "trp",
-        })
+        rows.extend(row(n, y, "curve") for y in y_grid)
+        rows.append(row(n, trp_for(n), "trp"))
     return header, rows, 0
 
 
 def cmd_trp(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
     header = ["setup", "side", "n", "trp_y", "residual", "bracket_width", "error"]
+    sides = ("lower", "upper") if args.setup == "two-sided" else ("",)
+    if args.setup == "simple":
+        # the closed form holds for every n, so the list is taken as given
+        n_values = args.n
+        h1, h2 = PointHypothesis(args.theta1), PointHypothesis(args.theta2)
+
+        def solve(n: float) -> tuple[transition.TrPResult, ...]:
+            return (transition.trp_point_pair(n, h1, h2),)
+
+    else:
+        n_values = sorted(set(args.n))
+        composite, null = CompositeHypothesis(support=args.support), PointHypothesis(args.null)
+
+        def solve(n: float) -> tuple[transition.TrPResult, ...]:
+            if args.setup == "one-sided":
+                return (transition.trp_composite(n, composite, null, args.tol),)
+            return transition.trp_composite_two_sided(n, composite, null, args.tol)
+
     rows: list[dict] = []
     successes = 0
-
-    def ok_row(side: str, result: transition.TrPResult) -> dict:
-        return {
-            "setup": args.setup, "side": side, "n": result.n,
-            "trp_y": result.trp_y, "residual": result.residual,
-            "bracket_width": result.bracket_width, "error": None,
-        }
-
-    def err_row(side: str, n: float, message: str) -> dict:
-        return {
-            "setup": args.setup, "side": side, "n": n, "trp_y": None,
-            "residual": None, "bracket_width": None, "error": message,
-        }
-
-    if args.setup == "simple":
-        h1, h2 = PointHypothesis(args.theta1), PointHypothesis(args.theta2)
-        for n in args.n:
-            try:
-                rows.append(ok_row("", transition.trp_point_pair(n, h1, h2)))
-                successes += 1
-            except (ValueError, RuntimeError) as err:
-                rows.append(err_row("", n, str(err)))
-    else:
-        composite = CompositeHypothesis(support=args.support)
-        null = PointHypothesis(args.null)
-        if args.setup == "one-sided":
-            for entry in transition.trp_curve(sorted(set(args.n)), composite, null, args.tol):
-                if entry.result is not None:
-                    rows.append(ok_row("", entry.result))
-                    successes += 1
-                else:
-                    rows.append(err_row("", entry.n, entry.error))
-        else:
-            for n in sorted(set(args.n)):
-                try:
-                    lower, upper = transition.trp_composite_two_sided(n, composite, null, args.tol)
-                    rows.append(ok_row("lower", lower))
-                    rows.append(ok_row("upper", upper))
-                    successes += 1
-                except (ValueError, RuntimeError) as err:
-                    rows.append(err_row("", n, str(err)))
+    for n in n_values:
+        try:
+            results = solve(n)
+        except (ValueError, RuntimeError) as err:
+            rows.append({"setup": args.setup, "side": "", "n": n, "error": str(err)})
+            continue
+        successes += 1
+        rows.extend({"setup": args.setup, "side": side, "n": result.n, "trp_y": result.trp_y,
+                     "residual": result.residual, "bracket_width": result.bracket_width}
+                    for side, result in zip(sides, results))
     return header, rows, 0 if successes else 1
 
 
@@ -352,7 +348,8 @@ def cmd_zero_paths(args: argparse.Namespace) -> tuple[list[str], list[dict], int
     else:
         if args.path is None:
             raise argparse.ArgumentTypeError("a path (shrink-n or ride-trp) or --both is required")
-        # --y, --null, --against and --tol default to the library's own values.
+        # --y and --against default to the library's own values; the shared
+        # --null and --tol defaults equal the library's.
         given = {"h2": PointHypothesis(args.null), "against_pair": args.against,
                  "y_fixed": args.y, "tol": args.tol}
         if args.support is not None:
@@ -474,15 +471,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=float, required=True, help="trial count")
     p.add_argument("--k", type=float, required=True, help="success count")
     p.add_argument("--mode", choices=(EXACT, CONTINUOUS), default=EXACT)
-    p.add_argument("--null", type=_open_unit, default=0.5,
-                   help="point null success probability (default 0.5)")
-    p.add_argument("--theta1", type=_open_unit, default=0.25,
-                   help="numerator point hypothesis for slr/logslr (default 0.25)")
-    p.add_argument("--theta2", type=_open_unit, default=0.75,
-                   help="denominator point hypothesis for slr/logslr (default 0.75)")
+    _add_shared_flags(p, "--null", "--theta1", "--theta2")
     p.add_argument("--bf", type=_prior_spec, default=None, metavar="PRIOR",
                    help="composite prior for bf kinds: 'uniform' or 'beta:a,b'")
-    p.add_argument("--support", type=_pair, default=(0.0, 1.0), metavar="LO,HI",
+    p.add_argument("--support", type=_numbers(2), default=(0.0, 1.0), metavar="LO,HI",
                    help="support of the composite prior (default 0,1)")
     p.add_argument("--kinds", type=_kinds_list, default=None, metavar="K1,K2,...",
                    help=f"statistics to emit, from: {','.join(EVIDENCE_KINDS)}")
@@ -494,11 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="a: two point hypotheses; b: one-sided composite vs point null")
     p.add_argument("--n", type=_float_list, default=[10.0, 100.0], metavar="N1,N2,...")
     p.add_argument("--grid", type=int, default=99, help="curve points per n (default 99)")
-    p.add_argument("--theta1", type=_open_unit, default=0.25)
-    p.add_argument("--theta2", type=_open_unit, default=0.75)
-    p.add_argument("--support", type=_pair, default=(0.0, 0.5), metavar="LO,HI")
-    p.add_argument("--null", type=_open_unit, default=0.5)
-    p.add_argument("--tol", type=_positive, default=transition.DEFAULT_TOL)
+    _add_shared_flags(p, "--theta1", "--theta2")
+    p.add_argument("--support", type=_numbers(2), default=(0.0, 0.5), metavar="LO,HI")
+    _add_shared_flags(p, "--null", "--tol")
     _add_output_flags(p)
     p.set_defaults(handler=cmd_figure1)
 
@@ -507,11 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="one-sided")
     p.add_argument("--n", type=_float_list, default=[10.0, 100.0, 1000.0],
                    metavar="N1,N2,...")
-    p.add_argument("--theta1", type=_open_unit, default=0.25)
-    p.add_argument("--theta2", type=_open_unit, default=0.75)
-    p.add_argument("--support", type=_pair, default=(0.0, 0.5), metavar="LO,HI")
-    p.add_argument("--null", type=_open_unit, default=0.5)
-    p.add_argument("--tol", type=_positive, default=transition.DEFAULT_TOL)
+    _add_shared_flags(p, "--theta1", "--theta2")
+    p.add_argument("--support", type=_numbers(2), default=(0.0, 0.5), metavar="LO,HI")
+    _add_shared_flags(p, "--null", "--tol")
     _add_output_flags(p)
     p.set_defaults(handler=cmd_trp)
 
@@ -523,12 +511,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", type=_open_unit, default=shared.y_fixed,
                    help=f"fixed observed proportion for shrink-n (default {shared.y_fixed:g})")
     p.add_argument("--n", type=_float_list, default=None, metavar="N1,N2,...")
-    p.add_argument("--support", type=_pair, default=None, metavar="LO,HI")
-    p.add_argument("--null", type=_open_unit, default=shared.h2.theta0)
-    p.add_argument("--against", type=_pair, default=shared.against_pair, metavar="T1,T2",
+    p.add_argument("--support", type=_numbers(2), default=None, metavar="LO,HI")
+    _add_shared_flags(p, "--null")
+    p.add_argument("--against", type=_numbers(2), default=shared.against_pair, metavar="T1,T2",
                    help="point pair for the contradiction proxy (default %g,%g)"
                         % shared.against_pair)
-    p.add_argument("--tol", type=_positive, default=shared.tol)
+    _add_shared_flags(p, "--tol")
     _add_output_flags(p)
     p.set_defaults(handler=cmd_zero_paths)
 
@@ -538,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = audit_sub.add_parser("transform", help="classify a scalar transformation")
     q.add_argument("--f", type=_transform_spec, default=("log", math.log),
                    metavar="SPEC", help="log, exp, f2c, c2f or affine:slope,intercept")
-    q.add_argument("--interval", type=_pair, default=(49.0, 100.0), metavar="LO,HI")
+    q.add_argument("--interval", type=_numbers(2), default=(49.0, 100.0), metavar="LO,HI")
     q.add_argument("--unit", type=float, default=1.0)
     q.add_argument("--grid", type=int, default=64,
                    help="classification grid size (default 64)")
@@ -556,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(handler=cmd_audit_agreement)
 
     q = audit_sub.add_parser("difference", help="difference comparison before/after -log")
-    q.add_argument("--p-values", type=_triple, default=(0.05, 0.04, 0.001),
+    q.add_argument("--p-values", type=_numbers(3), default=(0.05, 0.04, 0.001),
                    metavar="P1,P2,P3")
     _add_output_flags(q)
     q.set_defaults(handler=cmd_audit_difference)

@@ -35,6 +35,10 @@ EVIDENCE_KINDS = (
 LOG_SCALE_KINDS = frozenset({"neglogp", "logmlr", "logslr", "logbf", "abslogbf"})
 # Each ratio kind is exp of a log kind.
 RATIO_LOG_KINDS = {"mlr": "logmlr", "slr": "logslr", "bf": "logbf"}
+# The kinds that compare two point hypotheses, and those that weigh the
+# alternative by a prior (a Bayes factor).
+SLR_KINDS = ("slr", "logslr")
+BF_KINDS = ("bf", "logbf", "abslogbf")
 
 
 class UnsupportedNullError(ValueError):
@@ -385,7 +389,7 @@ def compute_evidence(
         value, hypotheses = log_mlr(data, null), (null,)
     elif alternative is None:
         raise ValueError(f"kind {kind!r} requires an alternative hypothesis")
-    elif kind in ("slr", "logslr"):
+    elif kind in SLR_KINDS:
         if not isinstance(alternative, PointHypothesis):
             raise ValueError("slr compares two point hypotheses")
         value, hypotheses = log_slr(data, alternative, null), (alternative, null)

@@ -26,13 +26,19 @@ class ConvergenceError(RuntimeError):
 _BETACF_MIN_ITER = 300
 _BETACF_EPS = 1e-15
 _BETACF_TINY = 1e-300
+# Default root-finder bracket tolerance on the argument.
+DEFAULT_TOL = 1e-12
 
 
 def log_gamma(x: float) -> float:
-    """Natural log of the gamma function (math.lgamma); ValueError unless x > 0."""
+    """Natural log of the gamma function (math.lgamma); ValueError unless x > 0,
+    OverflowError past about x = 2.5e305, where the value exceeds a double."""
     if not x > 0.0:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
+    try:
+        return math.lgamma(x)
+    except OverflowError as err:
+        raise OverflowError(f"log_gamma overflows a double at x={x}") from err
 
 
 def log_beta(a: float, b: float) -> float:
@@ -124,7 +130,7 @@ class RootBracket(_RootBracket):
 
     __slots__ = ()
 
-    def __new__(cls, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200):
+    def __new__(cls, lo: float, hi: float, tol: float = DEFAULT_TOL, max_iter: int = 200):
         if not lo < hi:
             raise ValueError(f"bracket requires lo < hi, got [{lo}, {hi}]")
         if not tol > 0.0:

@@ -18,11 +18,13 @@ from enum import Enum
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .evidence import (
+    BF_KINDS,
     BinomialOutcome,
     CompositeHypothesis,
     Hypothesis,
     PointHypothesis,
     RATIO_LOG_KINDS,
+    SLR_KINDS,
     compute_evidence,
     exp_or_inf,
     uniform_prior,
@@ -170,9 +172,9 @@ class AgreementConfig(NamedTuple):
     slr_alternative: PointHypothesis = PointHypothesis(0.25)
 
     def alternative_for(self, kind: str) -> Hypothesis | None:
-        if kind in ("slr", "logslr"):
+        if kind in SLR_KINDS:
             return self.slr_alternative
-        if kind in ("bf", "logbf", "abslogbf"):
+        if kind in BF_KINDS:
             return self.alternative
         return None
 

@@ -25,12 +25,10 @@ from .evidence import (
     log_slr,
     uniform_prior,
 )
-from .numerics import InvalidBracketError, RootBracket, find_root
+from .numerics import DEFAULT_TOL, InvalidBracketError, RootBracket, find_root
 
 # Root residuals above this are treated as a failed solve.
 RESIDUAL_LIMIT = 1e-8
-# Root-finder bracket tolerance on the observed proportion.
-DEFAULT_TOL = 1e-12
 # Root brackets stay this far inside the support / away from the point null,
 # since the log Bayes factor diverges toward the support edges.
 BRACKET_MARGIN = 1e-6
@@ -186,7 +184,7 @@ def trp_curve(
     for n in n_values:
         try:
             entries.append(CurveEntry(n=n, result=trp_composite(n, h1, h2, tol)))
-        except (NoSignChangeError, ValueError, RuntimeError) as err:
+        except (ValueError, RuntimeError) as err:
             entries.append(CurveEntry(n=n, result=None, error=str(err)))
     return entries
 

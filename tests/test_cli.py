@@ -2,10 +2,13 @@ import csv
 import io
 import json
 import math
+import shlex
 
 import pytest
 
 from evlab.cli import build_parser, main
+
+from test_readme import _examples as readme_examples
 
 GOLDEN_TRP_N10 = 0.3380399306382021
 
@@ -139,6 +142,17 @@ class TestCompute:
                        "--kinds", "pvalue"])
         assert status == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, x", [
+        (["compute", "--n", "1e306", "--k", "0", "--mode", "continuous", "--bf", "uniform",
+          "--kinds", "logbf"], "1e+306"),
+        (["figure1", "b", "--n", "1e306", "--grid", "5"], "9.9e+305"),
+    ])
+    def test_log_gamma_overflow_names_the_input(self, capsys, argv, x):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"evlab: error: log_gamma overflows a double at x={x}\n"
 
 
 class TestFigure1:
@@ -401,6 +415,37 @@ class TestOutputOptions:
         )
         obj = json.loads(out.strip())
         assert obj == {"kind": "neglogp", "n": 10.0, "k": 5.0, "value": 0.0}
+
+    @pytest.mark.parametrize("line", [
+        *readme_examples(),
+        "evlab compute --n 5000 --k 1000 --kinds mlr,logmlr",  # mlr is inf
+        "evlab compute --n 10 --k 5 --kinds neglogp,pvalue --log-base 0.5",  # -0.0
+    ])
+    def test_jsonl_carries_the_csv_numbers(self, capsys, tmp_path, monkeypatch, line):
+        monkeypatch.chdir(tmp_path)
+        argv = shlex.split(line, comments=True)[1:]
+
+        def output(fmt):
+            assert main([*argv, "--format", fmt]) == 0
+            out = capsys.readouterr().out
+            if "--out" in argv:
+                out = (tmp_path / argv[argv.index("--out") + 1]).read_text(encoding="utf-8")
+            return out
+
+        header, csv_rows = parse_csv(output("csv"))
+        json_rows = [json.loads(text) for text in output("jsonl").splitlines()]
+        assert [list(obj) for obj in json_rows] == [header] * len(csv_rows)
+        for csv_row, obj in zip(csv_rows, json_rows):
+            for col, value in obj.items():
+                cell = csv_row[col]
+                if isinstance(value, bool):
+                    assert cell == ("true" if value else "false")
+                elif isinstance(value, (int, float)):
+                    # equal numbers, and equal signs so that -0.0 cannot pass for 0
+                    assert value == float(cell) or math.isnan(value) and math.isnan(float(cell))
+                    assert math.copysign(1.0, value) == math.copysign(1.0, float(cell))
+                else:
+                    assert cell == ("" if value is None else value)
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "rows.csv"

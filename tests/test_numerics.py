@@ -56,6 +56,13 @@ class TestLogGamma:
             log_gamma(-3.0)
 
 
+    def test_overflow_names_the_input(self):
+        # ln Gamma(x) passes the largest double at about x = 2.5e305
+        assert math.isfinite(log_gamma(2e305))
+        with pytest.raises(OverflowError, match=r"^log_gamma overflows a double at x=1e\+306$"):
+            log_gamma(1e306)
+
+
 class TestLogBeta:
     def test_uniform_is_zero(self):
         assert log_beta(1.0, 1.0) == pytest.approx(0.0, abs=1e-13)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evlab.evidence import (
     CONTINUOUS,
@@ -209,6 +210,21 @@ class TestZeroPath:
         assert all(a2 < a1 for a1, a2 in zip(proxies, proxies[1:]))
         assert proxies[-1] < 0.01
         assert report.endpoint_summary.final_log_bf == report.trace[-1].log_bf
+
+    @settings(max_examples=200, deadline=None)
+    @given(y=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), n0=st.floats(1.0, 1000.0))
+    def test_shrink_n_goes_to_zero_for_every_y(self, y, n0):
+        # Near n = 0, log BF is about n (2y ln 2 - 1) for the uniform prior on
+        # [1/2, 1], and against_both is n times a divergence of at most ln(4/3).
+        # Past n0 = 1000 the posterior mass underflows for small y (ROADMAP item 3).
+        config = shrink_n_config()._replace(
+            y_fixed=y, n_values=tuple(n0 / 2**j for j in range(41))
+        )
+        report = zero_path(SHRINK_N, config)
+        assert all(point.against_both <= point.n for point in report.trace)
+        last = report.trace[-1]
+        assert last.n < 1e-9
+        assert abs(last.log_bf) <= 2.0 * last.n
 
     def test_shrink_n_golden_trace(self):
         report = zero_path(SHRINK_N)
