@@ -42,10 +42,21 @@ _Y_MAX = 0.99
 
 
 class OutputSpec(NamedTuple):
-    """Where and how rows are written."""
+    """Where and how rows are written, and the display base of log-valued columns."""
 
     fmt: str = "csv"
     destination: str | None = None
+    log_base: float = math.e
+
+
+# The log-valued columns, which the display base rescales: each maps to None
+# if it always holds a natural log, else to the column naming its statistic,
+# which must then be a log kind.
+_LOG_COLUMNS = {
+    **dict.fromkeys(("log_es", "abs_log_es", "log_bf", "against_both",
+                     "neglog_diff_12", "neglog_diff_23")),
+    "value": "kind", "x_a": "kind_x", "x_b": "kind_x", "y_a": "kind_y", "y_b": "kind_y",
+}
 
 
 def _fmt_cell(value) -> str:
@@ -67,11 +78,22 @@ def _json_cell(value):
 
 
 def write_rows(spec: OutputSpec, header: list[str], rows: Iterable[dict]) -> None:
-    """Emit rows as CSV (header + comma-separated lines, \\n endings) or JSONL.
+    """Emit rows as CSV (header + comma-separated lines, \\n endings) or JSONL,
+    with the natural logs of the log-valued columns shown in spec.log_base.
 
     Rows are written as they are drawn, so an iterable that makes them on
-    demand is written holding one row at a time.
+    demand is written holding one row at a time; the rows are not changed.
     """
+    factor = 1.0 / math.log(spec.log_base)
+    log_columns = [(i, _LOG_COLUMNS[col]) for i, col in enumerate(header) if col in _LOG_COLUMNS]
+
+    def cells(row: dict) -> list:
+        values = [row.get(col) for col in header]
+        for i, kind_col in log_columns:
+            if values[i] is not None and (kind_col is None or row.get(kind_col) in LOG_SCALE_KINDS):
+                values[i] *= factor
+        return values
+
     out = sys.stdout if spec.destination is None else open(
         spec.destination, "w", encoding="utf-8", newline=""
     )
@@ -80,12 +102,12 @@ def write_rows(spec: OutputSpec, header: list[str], rows: Iterable[dict]) -> Non
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(header)
             for row in rows:
-                writer.writerow([_fmt_cell(row.get(col)) for col in header])
+                writer.writerow(map(_fmt_cell, cells(row)))
         else:
             import json
 
             for row in rows:
-                obj = {col: _json_cell(row.get(col)) for col in header}
+                obj = dict(zip(header, map(_json_cell, cells(row))))
                 out.write(json.dumps(obj, separators=(",", ":")) + "\n")
     finally:
         if out is not sys.stdout:
@@ -96,11 +118,36 @@ def write_rows(spec: OutputSpec, header: list[str], rows: Iterable[dict]) -> Non
 # argument parsing helpers
 
 
+def _checked(convert: Callable[[str], float], ok: Callable[[float], bool],
+             expected: str) -> Callable[[str], float]:
+    """Parser for one finite number that convert reads and ok accepts."""
+
+    def parse(text: str) -> float:
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not (-math.inf < value < math.inf and ok(value)):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_finite = _checked(float, lambda value: True, "a finite number")
+_open_unit = _checked(float, lambda value: 0.0 < value < 1.0, "a number in (0,1)")
+_positive = _checked(float, lambda value: value > 0.0, "a positive finite number")
+_log_base = _checked(float, lambda value: value > 0.0 and value != 1.0,
+                     "a positive finite log base other than 1")
+_non_negative_int = _checked(int, lambda value: value >= 0, "a non-negative integer")
+_positive_int = _checked(int, lambda value: value >= 1, "a positive integer")
+
+
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+        return [_finite(part) for part in text.split(",") if part != ""]
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated finite numbers, got {text!r}")
 
 
 def _numbers(count: int) -> Callable[[str], tuple[float, ...]]:
@@ -116,37 +163,6 @@ def _numbers(count: int) -> Callable[[str], tuple[float, ...]]:
         return tuple(values)
 
     return parse
-
-
-def _open_unit(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"expected a number in (0,1), got {text!r}")
-    return value
-
-
-def _positive(text: str) -> float:
-    value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
-
-
-def _log_base(text: str) -> float:
-    value = float(text)
-    if value <= 0.0 or value == 1.0:
-        raise argparse.ArgumentTypeError(f"log base must be positive and != 1, got {text!r}")
-    return value
 
 
 def _kinds_list(text: str) -> list[str]:
@@ -200,11 +216,6 @@ def _transform_spec(text: str) -> tuple[str, Callable[[float], float]]:
     )
 
 
-def _scale_factor(args: argparse.Namespace) -> float:
-    """Display rescaling for log-valued cells: natural log to the chosen base."""
-    return 1.0 / math.log(args.log_base)
-
-
 # Flags that several subcommands share, each declared here once:
 # flag -> (type, default, help).
 _SHARED_FLAGS = {
@@ -251,7 +262,6 @@ def cmd_compute(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
     data = _usage_checked(f"--n {args.n:g} --k {args.k:g}", BinomialOutcome,
                           args.n, args.k, args.mode)
     null = PointHypothesis(args.null)
-    factor = _scale_factor(args)
 
     rows = []
     for kind in kinds:
@@ -264,14 +274,11 @@ def cmd_compute(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
             alternative = _usage_checked("--support %g,%g" % args.support, CompositeHypothesis,
                                          args.support, *(args.bf or ()))
         value = compute_evidence(kind, data, null=denominator, alternative=alternative).value
-        if kind in LOG_SCALE_KINDS:
-            value *= factor
         rows.append({"kind": kind, "n": args.n, "k": args.k, "value": value})
     return ["kind", "n", "k", "value"], rows, 0
 
 
 def cmd_figure1(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
-    factor = _scale_factor(args)
     y_grid = linspace(_Y_MIN, _Y_MAX, args.grid)
     header = ["variant", "n", "y", "log_es", "abs_log_es", "side", "row_type"]
 
@@ -292,8 +299,8 @@ def cmd_figure1(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
         value = evidence.log_bf(BinomialOutcome(n, y * n, CONTINUOUS), h1, h2)
         # a trp row sits on a root, where the value is only the root residual
         side = support_label(value) if row_type == "curve" else "transition point"
-        return {"variant": args.variant, "n": n, "y": y, "log_es": value * factor,
-                "abs_log_es": abs(value) * factor, "side": side, "row_type": row_type}
+        return {"variant": args.variant, "n": n, "y": y, "log_es": value,
+                "abs_log_es": abs(value), "side": side, "row_type": row_type}
 
     rows = []
     for n in args.n:
@@ -338,36 +345,29 @@ def cmd_trp(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
 
 
 def cmd_zero_paths(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
-    factor = _scale_factor(args)
-    header = ["path", "n", "y", "log_bf", "against_both"]
-
     if args.both:
         if args.path is not None:
             raise argparse.ArgumentTypeError("give either a path or --both, not both")
-        reports = [transition.zero_path(kind) for kind in transition.PATH_KINDS]
+        kinds = transition.PATH_KINDS
+    elif args.path is None:
+        raise argparse.ArgumentTypeError("a path (shrink-n or ride-trp) or --both is required")
     else:
-        if args.path is None:
-            raise argparse.ArgumentTypeError("a path (shrink-n or ride-trp) or --both is required")
-        # --y and --against default to the library's own values; the shared
-        # --null and --tol defaults equal the library's.
-        given = {"h2": PointHypothesis(args.null), "against_pair": args.against,
-                 "y_fixed": args.y, "tol": args.tol}
-        if args.support is not None:
-            given["h1"] = CompositeHypothesis(support=args.support)
-        if args.n is not None:
-            given["n_values"] = tuple(args.n)
-        config = transition.default_config(args.path)._replace(**given)
-        reports = [transition.zero_path(args.path, config)]
+        kinds = (args.path,)
+    # --y and --against default to the library's own values, which both paths
+    # share; the shared --null and --tol defaults equal the library's.
+    given = {"h2": PointHypothesis(args.null), "against_pair": args.against,
+             "y_fixed": args.y, "tol": args.tol}
+    if args.support is not None:
+        given["h1"] = CompositeHypothesis(support=args.support)
+    if args.n is not None:
+        given["n_values"] = tuple(args.n)
 
     rows = []
-    for report in reports:
-        for point in report.trace:
-            rows.append({
-                "path": report.path_kind, "n": point.n, "y": point.y,
-                "log_bf": point.log_bf * factor,
-                "against_both": point.against_both * factor,
-            })
-    return header, rows, 0
+    for kind in kinds:
+        report = transition.zero_path(kind, transition.default_config(kind)._replace(**given))
+        rows.extend({"path": kind, "n": point.n, "y": point.y, "log_bf": point.log_bf,
+                     "against_both": point.against_both} for point in report.trace)
+    return ["path", "n", "y", "log_bf", "against_both"], rows, 0
 
 
 def cmd_audit_transform(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
@@ -405,7 +405,6 @@ class _Rows:
 def cmd_audit_agreement(args: argparse.Namespace) -> tuple[list[str], Iterable[dict], int]:
     from . import scale
 
-    factor = _scale_factor(args)
     grid = scale.outcome_grid(args.max_n, args.min_n)
     if not grid:
         raise argparse.ArgumentTypeError(
@@ -421,14 +420,12 @@ def cmd_audit_agreement(args: argparse.Namespace) -> tuple[list[str], Iterable[d
     ]
 
     def witness_row(pair: scale.DiscordantPair) -> dict:
-        fx = factor if pair.kind_x in LOG_SCALE_KINDS else 1.0
-        fy = factor if pair.kind_y in LOG_SCALE_KINDS else 1.0
         return {
             "row_type": "discordant", "kind_x": pair.kind_x, "kind_y": pair.kind_y,
             "n_a": pair.outcome_a.n, "k_a": pair.outcome_a.k,
             "n_b": pair.outcome_b.n, "k_b": pair.outcome_b.k,
-            "x_a": pair.x_values[0] * fx, "x_b": pair.x_values[1] * fx,
-            "y_a": pair.y_values[0] * fy, "y_b": pair.y_values[1] * fy,
+            "x_a": pair.x_values[0], "x_b": pair.x_values[1],
+            "y_a": pair.y_values[0], "y_b": pair.y_values[1],
         }
 
     def rows() -> Iterator[dict]:
@@ -442,15 +439,14 @@ def cmd_audit_agreement(args: argparse.Namespace) -> tuple[list[str], Iterable[d
 def cmd_audit_difference(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
     from . import scale
 
-    factor = _scale_factor(args)
     demo = scale.difference_comparison_demo(args.p_values)
     header = ["p1", "p2", "p3", "raw_diff_12", "raw_diff_23",
               "neglog_diff_12", "neglog_diff_23"]
     rows = [{
         "p1": demo.p_values[0], "p2": demo.p_values[1], "p3": demo.p_values[2],
         "raw_diff_12": demo.raw[0], "raw_diff_23": demo.raw[1],
-        "neglog_diff_12": demo.neg_log[0] * factor,
-        "neglog_diff_23": demo.neg_log[1] * factor,
+        "neglog_diff_12": demo.neg_log[0],
+        "neglog_diff_23": demo.neg_log[1],
     }]
     return header, rows, 0
 
@@ -468,8 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="evidence statistics for one observed outcome")
-    p.add_argument("--n", type=float, required=True, help="trial count")
-    p.add_argument("--k", type=float, required=True, help="success count")
+    p.add_argument("--n", type=_finite, required=True, help="trial count")
+    p.add_argument("--k", type=_finite, required=True, help="success count")
     p.add_argument("--mode", choices=(EXACT, CONTINUOUS), default=EXACT)
     _add_shared_flags(p, "--null", "--theta1", "--theta2")
     p.add_argument("--bf", type=_prior_spec, default=None, metavar="PRIOR",
@@ -485,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("variant", choices=("a", "b"),
                    help="a: two point hypotheses; b: one-sided composite vs point null")
     p.add_argument("--n", type=_float_list, default=[10.0, 100.0], metavar="N1,N2,...")
-    p.add_argument("--grid", type=int, default=99, help="curve points per n (default 99)")
+    p.add_argument("--grid", type=_positive_int, default=99, help="curve points per n (default 99)")
     _add_shared_flags(p, "--theta1", "--theta2")
     p.add_argument("--support", type=_numbers(2), default=(0.0, 0.5), metavar="LO,HI")
     _add_shared_flags(p, "--null", "--tol")
@@ -506,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zero-paths", help="trace the two routes to log BF = 0")
     p.add_argument("path", nargs="?", choices=transition.PATH_KINDS, default=None)
     p.add_argument("--both", action="store_true",
-                   help="emit both default traces side by side")
+                   help="emit both traces, shrink-n then ride-trp")
     shared = transition.default_config(transition.SHRINK_N)  # values both paths share
     p.add_argument("--y", type=_open_unit, default=shared.y_fixed,
                    help=f"fixed observed proportion for shrink-n (default {shared.y_fixed:g})")
@@ -527,8 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--f", type=_transform_spec, default=("log", math.log),
                    metavar="SPEC", help="log, exp, f2c, c2f or affine:slope,intercept")
     q.add_argument("--interval", type=_numbers(2), default=(49.0, 100.0), metavar="LO,HI")
-    q.add_argument("--unit", type=float, default=1.0)
-    q.add_argument("--grid", type=int, default=64,
+    q.add_argument("--unit", type=_finite, default=1.0)
+    q.add_argument("--grid", type=_positive_int, default=64,
                    help="classification grid size (default 64)")
     _add_output_flags(q)
     q.set_defaults(handler=cmd_audit_transform)
@@ -562,7 +558,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, RuntimeError, OverflowError, ZeroDivisionError) as err:
         print(f"evlab: error: {err}", file=sys.stderr)
         return 1
-    write_rows(OutputSpec(args.format, args.out), header, rows)
+    write_rows(OutputSpec(args.format, args.out, args.log_base), header, rows)
     return status
 
 

@@ -65,13 +65,14 @@ class BinomialOutcome(_BinomialOutcome):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, n: float, k: float, mode: str = EXACT):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        if n < 0:
+        if not 0 <= n < math.inf:
             raise ValueError(f"trial count must be nonnegative, got n={n}")
-        if k < 0 or k > n:
+        if not 0 <= k <= n:
             raise ValueError(f"require 0 <= k <= n, got n={n}, k={k}")
         if mode == EXACT:
             if not (float(n).is_integer() and float(k).is_integer()):
@@ -96,6 +97,7 @@ class PointHypothesis(_PointHypothesis):
     """A fully specified success probability, strictly inside (0, 1)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, theta0: float):
         if not 0.0 < theta0 < 1.0:
@@ -117,6 +119,7 @@ class CompositeHypothesis(_CompositeHypothesis):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(
         cls, support: tuple[float, float] = (0.0, 1.0), a: float = 1.0, b: float = 1.0

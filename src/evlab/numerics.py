@@ -117,7 +117,6 @@ class _RootBracket(NamedTuple):
     lo: float
     hi: float
     tol: float
-    max_iter: int
 
 
 class RootBracket(_RootBracket):
@@ -129,23 +128,23 @@ class RootBracket(_RootBracket):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __new__(cls, lo: float, hi: float, tol: float = DEFAULT_TOL, max_iter: int = 200):
+    def __new__(cls, lo: float, hi: float, tol: float = DEFAULT_TOL):
         if not lo < hi:
             raise ValueError(f"bracket requires lo < hi, got [{lo}, {hi}]")
         if not tol > 0.0:
             raise ValueError(f"bracket tolerance must be positive, got {tol}")
-        if max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-        return tuple.__new__(cls, (lo, hi, tol, max_iter))
+        return tuple.__new__(cls, (lo, hi, tol))
 
 
 def find_root(f: Callable[[float], float], bracket: RootBracket) -> float:
     """Locate a zero of f inside the bracket by plain bisection.
 
     Deterministic: no randomized or derivative-based steps. Returns the
-    bracket midpoint once the bracket width has shrunk to bracket.tol, or
-    an exact zero of f if one is hit along the way.
+    bracket midpoint once the bracket width has shrunk to bracket.tol or no
+    double lies strictly between its ends, or an exact zero of f if one is
+    hit along the way. Each step halves the bracket, so any tol terminates.
     """
     lo, hi = bracket.lo, bracket.hi
     f_lo = f(lo)
@@ -155,8 +154,8 @@ def find_root(f: Callable[[float], float], bracket: RootBracket) -> float:
             f"f must have strictly opposite signs at the bracket endpoints: "
             f"f({lo})={f_lo}, f({hi})={f_hi}"
         )
-    for _ in range(bracket.max_iter):
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:  # false once lo and hi are adjacent doubles
         f_mid = f(mid)
         if f_mid == 0.0:
             return mid
@@ -164,12 +163,10 @@ def find_root(f: Callable[[float], float], bracket: RootBracket) -> float:
             lo, f_lo = mid, f_mid
         else:
             hi = mid
+        mid = 0.5 * (lo + hi)
         if hi - lo <= bracket.tol:
-            return 0.5 * (lo + hi)
-    raise ConvergenceError(
-        f"bisection did not reach width {bracket.tol} within "
-        f"{bracket.max_iter} iterations (final width {hi - lo})"
-    )
+            break
+    return mid
 
 
 def linspace(lo: float, hi: float, num: int) -> list[float]:

@@ -48,11 +48,11 @@ class TransformationAudit(NamedTuple):
     """Classification of a scalar transformation against the permissible families.
 
     order_preserving: strictly increasing on the probed grid.
-    affine: an order-preserving linear map x -> s*x + c with s > 0
-        (vanishing second differences on a uniform grid).
+    affine: an order-preserving linear map x -> s*x + c with s > 0 (every
+        value lies on the chord through the two end values).
     positive_scalar: affine with zero intercept.
-    unit_distortion: max/min ratio of first differences at the grid spacing;
-        1 for affine maps, > 1 when the unit stretches across the range.
+    unit_distortion: max/min ratio of the slopes between neighbouring grid
+        points; 1 for affine maps, > 1 when the unit stretches across the range.
     """
 
     sample_grid: tuple[float, ...]
@@ -67,12 +67,12 @@ def classify_transformation(
     grid: Sequence[float],
     tol: float = 1e-9,
 ) -> TransformationAudit:
-    """Audit f on the range spanned by grid.
+    """Audit f on the grid as given, evaluating it once per point.
 
-    Order preservation is checked on the grid as given; the affine and
-    positive-scalar checks need equal spacing, so they are evaluated on a
-    uniform grid over the same range with the same number of points.
-    Tolerances are relative to the range of the transformed values.
+    f is affine when no value lies farther than tol times the range of the
+    values from the chord through the two end values, a test that does not
+    depend on the number or spacing of the points. The intercept of that
+    chord must also be within it for a positive scalar.
     """
     pts = [float(x) for x in grid]
     if len(pts) < 4:
@@ -80,26 +80,20 @@ def classify_transformation(
     if any(b <= a for a, b in zip(pts, pts[1:])):
         raise DegenerateGridError("grid must be strictly increasing")
 
-    given_vals = [f(x) for x in pts]
-    order_preserving = all(b > a for a, b in zip(given_vals, given_vals[1:]))
-
-    uniform = linspace(pts[0], pts[-1], len(pts))
-    vals = [f(x) for x in uniform]
+    vals = [f(x) for x in pts]
+    order_preserving = all(b > a for a, b in zip(vals, vals[1:]))
     value_range = max(vals) - min(vals)
     scale = value_range if value_range > 0.0 else 1.0
 
-    second_diffs = [vals[i + 2] - 2.0 * vals[i + 1] + vals[i] for i in range(len(vals) - 2)]
-    step = uniform[1] - uniform[0]
-    slope = (vals[1] - vals[0]) / step
-    affine = max(abs(d) for d in second_diffs) <= tol * scale and slope > 0.0
+    x0, v0 = pts[0], vals[0]
+    slope = (vals[-1] - v0) / (pts[-1] - x0)
+    off_chord = max(abs(v - (v0 + slope * (x - x0))) for x, v in zip(pts, vals))
+    affine = off_chord <= tol * scale and slope > 0.0
+    positive_scalar = affine and abs(v0 - slope * x0) <= tol * scale
 
-    intercept = vals[0] - slope * uniform[0]
-    positive_scalar = affine and abs(intercept) <= tol * scale
-
-    first_diffs = [b - a for a, b in zip(vals, vals[1:])]
-    min_diff = min(first_diffs)
-    max_diff = max(first_diffs)
-    distortion = max_diff / min_diff if min_diff > 0.0 else math.inf
+    slopes = [(vb - va) / (xb - xa) for xa, xb, va, vb in zip(pts, pts[1:], vals, vals[1:])]
+    min_slope = min(slopes)
+    distortion = max(slopes) / min_slope if min_slope > 0.0 else math.inf
 
     return TransformationAudit(
         sample_grid=tuple(pts),

@@ -53,13 +53,14 @@ class TrPResult(_TrPResult):
     """A root of the log Bayes factor in the observed proportion, at fixed n."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, n: float, trp_y: float, residual: float, bracket_width: float):
         if not 0.0 < trp_y < 1.0:
             raise ValueError(f"transition point must be in (0,1), got {trp_y}")
         if not 0.0 <= residual <= RESIDUAL_LIMIT:
             raise ValueError(f"root residual {residual} exceeds the limit {RESIDUAL_LIMIT}")
-        if bracket_width < 0.0:
+        if not bracket_width >= 0.0:
             raise ValueError(f"bracket width must be nonnegative, got {bracket_width}")
         return tuple.__new__(cls, (n, trp_y, residual, bracket_width))
 

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,8 +6,10 @@ import math
 import shlex
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evlab.cli import build_parser, main
+from evlab.evidence import LOG_SCALE_KINDS
 
 from test_readme import _examples as readme_examples
 
@@ -23,6 +26,25 @@ def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     header = rows[0]
     return header, [dict(zip(header, row)) for row in rows[1:]]
+
+
+def _number(cell):
+    """A CSV cell as a float where it is one."""
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def run_quietly(argv):
+    """(exit status, stdout) of one command, a usage error included."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    return status, out.getvalue()
 
 
 class TestCompute:
@@ -248,6 +270,54 @@ class TestTrp:
         assert exc.value.code == 2
         assert "--tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["figure1", "b", "--n", "10", "--grid", "3"],
+                                         ["trp", "--n", "10"], ["zero-paths", "ride-trp"]])
+    def test_tol_below_the_double_spacing_finds_the_root(self, capsys, command):
+        # the bracket stops at adjacent doubles, on the root of the default tol
+        status, out = run_cli(capsys, *command, "--tol", "1e-20")
+        assert status == 0
+        _, rows = parse_csv(out)
+        y = {"figure1": "y", "trp": "trp_y", "zero-paths": "y"}[command[0]]
+        assert float(rows[-1 if command[0] == "figure1" else 0][y]) == pytest.approx(
+            GOLDEN_TRP_N10, abs=1e-12)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--n", "nan", "--k", "0", "--mode", "continuous", "--kinds", "logmlr"],
+        ["compute", "--n", "inf", "--k", "0", "--mode", "continuous"],
+        ["compute", "--n", "10", "--k=-inf", "--mode", "continuous"],
+        ["compute", "--n", "10", "--k", "3", "--support", "0,nan", "--bf", "uniform"],
+        ["compute", "--n", "10", "--k", "3", "--bf", "beta:inf,1"],
+        ["compute", "--n", "10", "--k", "3", "--log-base", "nan"],
+        ["compute", "--n", "10", "--k", "3", "--log-base", "inf"],
+        ["figure1", "a", "--n", "nan"],
+        ["figure1", "a", "--grid", "0"],
+        ["figure1", "a", "--grid", "-3"],
+        ["trp", "--n", "nan"],
+        ["trp", "--n", "10,inf"],
+        ["trp", "--tol", "inf"],
+        ["zero-paths", "ride-trp", "--n", "10,nan"],
+        ["zero-paths", "shrink-n", "--against", "0.25,nan"],
+        ["audit", "transform", "--unit", "nan"],
+        ["audit", "transform", "--unit", "inf"],
+        ["audit", "transform", "--interval", "nan,5"],
+        ["audit", "transform", "--f", "affine:nan,1"],
+        ["audit", "transform", "--grid", "0"],
+        ["audit", "difference", "--p-values", "0.05,nan,0.001"],
+    ])
+    def test_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "got '" in capsys.readouterr().err
+
+    def test_one_grid_point_is_enough_for_figure1(self, capsys):
+        status, out = run_cli(capsys, "figure1", "a", "--n", "10", "--grid", "1")
+        assert status == 0
+        _, rows = parse_csv(out)
+        assert [r["row_type"] for r in rows] == ["curve", "trp"]
+
 
 class TestZeroPaths:
     def test_shrink_n_monotone(self, capsys):
@@ -286,8 +356,48 @@ class TestZeroPaths:
             main(["zero-paths"])
         assert exc.value.code == 2
 
+    def test_both_honours_the_path_flags(self, capsys):
+        status, out = run_cli(capsys, "zero-paths", "--both", "--y", "0.5")
+        assert status == 0
+        _, rows = parse_csv(out)
+        assert [r["y"] for r in rows if r["path"] == "shrink-n"] == ["0.5"] * 6
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        y=st.sampled_from(["0.1", "0.5", "0.9"]),
+        n=st.sampled_from(["", "50", "8,2,0.5", "10,100"]),
+        support=st.sampled_from(["", "0,0.5", "0.5,1", "0.2,0.45", "0,1"]),
+        null=st.sampled_from(["0.5", "0.3"]),
+        against=st.sampled_from(["", "0.1,0.6"]),
+        tol=st.sampled_from(["", "1e-9", "1e-20"]),
+    )
+    def test_both_prints_the_two_single_paths(self, y, n, support, null, against, tol):
+        flags = ["--y", y, "--null", null]
+        for flag, value in (("--n", n), ("--support", support), ("--against", against),
+                            ("--tol", tol)):
+            if value:
+                flags += [flag, value]
+        status, out = run_quietly(["zero-paths", "--both", *flags])
+        singles = [run_quietly(["zero-paths", path, *flags]) for path in ("shrink-n", "ride-trp")]
+        failed = [single for single in singles if single[0] != 0]
+        if failed:
+            # a flag that one path cannot take fails as it does on that path alone
+            assert (status, out) == failed[0]
+        else:
+            shrink, ride = (single[1].splitlines(keepends=True) for single in singles)
+            assert (status, out) == (0, "".join(shrink + ride[1:]))
+
 
 class TestAudit:
+    @pytest.mark.parametrize("flags", [["--f", "log", "--interval", "49,100"],
+                                       ["--f", "exp", "--interval", "0,1", "--unit", "0.25"]])
+    @pytest.mark.parametrize("grid", ["38970", "100000"])
+    def test_transform_curve_is_not_affine_on_a_fine_grid(self, capsys, flags, grid):
+        status, out = run_cli(capsys, "audit", "transform", *flags, "--grid", grid)
+        assert status == 0
+        _, rows = parse_csv(out)
+        assert (rows[0]["affine"], rows[0]["positive_scalar"]) == ("false", "false")
+
     def test_transform_log_distortion(self, capsys):
         status, out = run_cli(
             capsys, "audit", "transform", "--f", "log", "--interval", "49,100"
@@ -476,6 +586,47 @@ class TestOutputOptions:
         _, rows_e = parse_csv(base_e)
         _, rows_2 = parse_csv(base_2)
         assert rows_e[0]["trp_y"] == rows_2[0]["trp_y"]
+
+    @pytest.mark.parametrize("line", [
+        *readme_examples(),
+        "evlab compute --n 10 --k 3 --bf beta:2,3 "
+        "--kinds pvalue,neglogp,mlr,logmlr,slr,logslr,bf,logbf,abslogbf",
+        "evlab audit agreement --max-n 8 --kinds pvalue,neglogp,mlr,logbf --max-witnesses 60",
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_log_base_rescales_exactly_the_log_columns(self, tmp_path, monkeypatch, line, fmt):
+        # the README's list of log-valued columns
+        always = {"log_es", "abs_log_es", "log_bf", "against_both",
+                  "neglog_diff_12", "neglog_diff_23"}
+        by_kind = {"value": "kind", "x_a": "kind_x", "x_b": "kind_x",
+                   "y_a": "kind_y", "y_b": "kind_y"}
+        monkeypatch.chdir(tmp_path)
+        argv = shlex.split(line, comments=True)[1:]
+
+        def rows(*extra):
+            status, out = run_quietly([*argv, "--format", fmt, *extra])
+            assert status == 0
+            if "--out" in argv:
+                out = (tmp_path / argv[argv.index("--out") + 1]).read_text(encoding="utf-8")
+            if fmt == "jsonl":
+                return [json.loads(text) for text in out.splitlines()]
+            return [{col: _number(cell) for col, cell in row.items()} for row in parse_csv(out)[1]]
+
+        natural, base_10 = rows(), rows("--log-base", "10")
+        assert len(natural) == len(base_10) > 0
+        scaled = 0
+        for row_e, row_10 in zip(natural, base_10):
+            assert list(row_e) == list(row_10)
+            for col, value in row_e.items():
+                is_log = col in always or col in by_kind and row_e[by_kind[col]] in LOG_SCALE_KINDS
+                if is_log and value not in (None, ""):
+                    assert row_10[col] == pytest.approx(value / math.log(10.0), rel=1e-11,
+                                                        abs=1e-300), (col, row_e)
+                    scaled += 1
+                else:
+                    assert row_10[col] == value, (col, row_e)
+        if any(col in always or col in by_kind for col in natural[0]):
+            assert scaled > 0
 
     def test_bad_log_base_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

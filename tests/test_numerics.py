@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import special
 
 from evlab.numerics import (
@@ -187,14 +188,33 @@ class TestFindRoot:
         with pytest.raises(InvalidBracketError):
             find_root(lambda x: x, RootBracket(0.0, 1.0))
 
-    def test_non_convergence(self):
-        with pytest.raises(ConvergenceError):
-            find_root(lambda x: x - 0.1234, RootBracket(0.0, 1.0, tol=1e-12, max_iter=5))
+    @settings(max_examples=300, deadline=None)
+    @given(tol=st.floats(5e-324, 1.0), square=st.floats(0.01, 0.99))
+    @example(tol=1e-20, square=0.5)
+    @example(tol=5e-324, square=0.3)
+    def test_every_positive_tol_gives_a_root(self, tol, square):
+        # below the double spacing the bracket stops at adjacent doubles
+        f = lambda x: x * x - square
+        root = find_root(f, RootBracket(0.0, 1.0, tol=tol))
+        step = max(tol, 2.0 * math.ulp(root))
+        assert 0.0 < root < 1.0
+        assert f(root) == 0.0 or f(max(0.0, root - step)) <= 0.0 <= f(min(1.0, root + step))
+
+    def test_tol_below_the_spacing_stops_at_adjacent_doubles(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x * x - 2.0
+
+        root = find_root(f, RootBracket(1.0, 2.0, tol=1e-300))
+        assert abs(root - math.sqrt(2.0)) <= math.ulp(root)
+        assert len(calls) <= 2 + 53  # two ends, then one halving per bit
 
     def test_refinement_invariance(self):
         f = lambda x: math.cos(x) - x
-        coarse = find_root(f, RootBracket(0.0, 1.0, tol=1e-9, max_iter=100))
-        fine = find_root(f, RootBracket(0.0, 1.0, tol=5e-10, max_iter=200))
+        coarse = find_root(f, RootBracket(0.0, 1.0, tol=1e-9))
+        fine = find_root(f, RootBracket(0.0, 1.0, tol=5e-10))
         assert abs(coarse - fine) <= 1e-9
 
     def test_bracket_validation(self):
@@ -202,8 +222,6 @@ class TestFindRoot:
             RootBracket(1.0, 0.0)
         with pytest.raises(ValueError):
             RootBracket(0.0, 1.0, tol=0.0)
-        with pytest.raises(ValueError):
-            RootBracket(0.0, 1.0, max_iter=0)
 
 
 def test_linspace():

@@ -84,7 +84,7 @@ REJECTED = [
     (RootBracket, (1.0, 0.0), {}, "bracket requires lo < hi, got [1.0, 0.0]"),
     (RootBracket, (0.0, 0.0), {}, "bracket requires lo < hi, got [0.0, 0.0]"),
     (RootBracket, (0.0, 1.0), {"tol": 0.0}, "bracket tolerance must be positive, got 0.0"),
-    (RootBracket, (0.0, 1.0), {"max_iter": 0}, "max_iter must be >= 1, got 0"),
+    (RootBracket, (0.0, 1.0), {"tol": float("nan")}, "bracket tolerance must be positive, got nan"),
     (TrPResult, (10.0, 1.0, 0.0, 0.0), {}, "transition point must be in (0,1), got 1.0"),
     (TrPResult, (10.0, 0.0, 0.0, 0.0), {}, "transition point must be in (0,1), got 0.0"),
     (TrPResult, (10.0, 0.5, 1e-7, 0.0), {}, "root residual 1e-07 exceeds the limit 1e-08"),
@@ -100,10 +100,33 @@ def test_validating_records_reject_bad_fields(make, args, kwargs, message):
         make(*args, **kwargs)
 
 
+# (record, fields given to _replace, message): the checks of the constructor.
+REPLACED = [
+    (BinomialOutcome(10, 3), {"k": 11}, "require 0 <= k <= n, got n=10, k=11"),
+    (BinomialOutcome(10, 3), {"n": float("nan")}, "trial count must be nonnegative, got n=nan"),
+    (PointHypothesis(0.5), {"theta0": 2.0}, "point hypothesis requires theta0 in (0,1), got 2.0"),
+    (CompositeHypothesis(), {"a": -1.0}, "prior shapes must be positive, got a=-1.0, b=1.0"),
+    (RootBracket(0.0, 1.0), {"hi": -1.0}, "bracket requires lo < hi, got [0.0, -1.0]"),
+    (TrPResult(10.0, 0.4, 0.0, 0.0), {"residual": 5e-4},
+     "root residual 0.0005 exceeds the limit 1e-08"),
+]
+
+
+@pytest.mark.parametrize("record, fields, message", REPLACED,
+                         ids=[type(r[0]).__name__ for r in REPLACED])
+def test_make_and_replace_check_like_the_constructor(record, fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        record._replace(**fields)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        type(record)._make({**record._asdict(), **fields}.values())
+    valid = record._replace()
+    assert valid == record and type(valid) is type(record)
+
+
 def test_validating_records_keep_their_defaults_and_keywords():
     assert BinomialOutcome(n=10, k=3) == (10, 3, "exact")
     assert CompositeHypothesis() == ((0.0, 1.0), 1.0, 1.0)
-    assert RootBracket(lo=0.0, hi=1.0) == (0.0, 1.0, 1e-12, 200)
+    assert RootBracket(lo=0.0, hi=1.0) == (0.0, 1.0, 1e-12)
     assert TrPResult(n=10.0, trp_y=0.5, residual=0.0, bracket_width=0.0).trp_y == 0.5
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from evlab.evidence import BinomialOutcome, exp_or_inf
@@ -77,6 +77,41 @@ class TestClassifyTransformation:
             if audit.affine:
                 assert audit.order_preserving
                 assert audit.unit_distortion == pytest.approx(1.0, abs=1e-9)
+
+    # Grid sizes from 4 to 200,000, drawn log-uniformly. With second differences
+    # as the affine test, log on [49, 100] read as affine from 38,970 points up
+    # and exp on [0, 1] from 39,775 up.
+    GRID_SIZES = st.floats(math.log(4.0), math.log(2e5)).map(lambda u: round(math.exp(u)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(size=GRID_SIZES)
+    @example(size=4)
+    @example(size=38_970)
+    @example(size=39_775)
+    @example(size=200_000)
+    def test_curved_maps_are_never_affine(self, size):
+        for f, lo, hi in ((math.log, 49.0, 100.0), (math.exp, 0.0, 1.0),
+                          (math.sqrt, 49.0, 100.0)):
+            audit = classify_transformation(f, linspace(lo, hi, size))
+            assert (audit.order_preserving, audit.affine, audit.positive_scalar) == (
+                True, False, False), (f.__name__, size)
+
+    @settings(max_examples=40, deadline=None)
+    @given(size=GRID_SIZES, slope=st.floats(1e-2, 1e2),
+           intercept=st.one_of(st.just(0.0), st.floats(1.0, 100.0), st.floats(-100.0, -1.0)))
+    @example(size=38_970, slope=2.0, intercept=0.0)
+    @example(size=200_000, slope=5.0 / 9.0, intercept=-160.0 / 9.0)
+    def test_positive_affine_maps_are_affine(self, size, slope, intercept):
+        audit = classify_transformation(lambda x: slope * x + intercept,
+                                        linspace(49.0, 100.0, size))
+        assert (audit.order_preserving, audit.affine, audit.positive_scalar) == (
+            True, True, intercept == 0.0)
+
+    def test_distortion_is_the_slope_ratio_on_any_grid(self):
+        # neighbouring slopes of x**2 on 1, 2, 4, 8 are 3, 6 and 12
+        audit = classify_transformation(lambda x: x * x, [1.0, 2.0, 4.0, 8.0])
+        assert audit.unit_distortion == 4.0
+        assert not audit.affine
 
 
 class TestUnitDistortion:
