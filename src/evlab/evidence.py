@@ -129,8 +129,8 @@ class CompositeHypothesis(_CompositeHypothesis):
             raise ValueError(
                 f"support must be a positive-width subinterval of [0,1], got {support}"
             )
-        if not (a > 0.0 and b > 0.0):
-            raise ValueError(f"prior shapes must be positive, got a={a}, b={b}")
+        if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+            raise ValueError(f"prior shapes must be positive and finite, got a={a}, b={b}")
         return tuple.__new__(cls, (support, a, b))
 
 

@@ -138,13 +138,14 @@ class RootBracket(_RootBracket):
         return tuple.__new__(cls, (lo, hi, tol))
 
 
-def find_root(f: Callable[[float], float], bracket: RootBracket) -> float:
+def find_root(f: Callable[[float], float], bracket: RootBracket) -> tuple[float, float]:
     """Locate a zero of f inside the bracket by plain bisection.
 
     Deterministic: no randomized or derivative-based steps. Returns the
     bracket midpoint once the bracket width has shrunk to bracket.tol or no
     double lies strictly between its ends, or an exact zero of f if one is
-    hit along the way. Each step halves the bracket, so any tol terminates.
+    hit along the way, together with the width of the bracket reached (0 for
+    an exact zero). Each step halves the bracket, so any tol terminates.
     """
     lo, hi = bracket.lo, bracket.hi
     f_lo = f(lo)
@@ -158,7 +159,7 @@ def find_root(f: Callable[[float], float], bracket: RootBracket) -> float:
     while lo < mid < hi:  # false once lo and hi are adjacent doubles
         f_mid = f(mid)
         if f_mid == 0.0:
-            return mid
+            return mid, 0.0
         if (f_mid < 0.0) == (f_lo < 0.0):
             lo, f_lo = mid, f_mid
         else:
@@ -166,7 +167,7 @@ def find_root(f: Callable[[float], float], bracket: RootBracket) -> float:
         mid = 0.5 * (lo + hi)
         if hi - lo <= bracket.tol:
             break
-    return mid
+    return mid, hi - lo
 
 
 def linspace(lo: float, hi: float, num: int) -> list[float]:

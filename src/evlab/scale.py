@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
+import sys
 from enum import Enum
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -44,35 +44,32 @@ class ScaleType(Enum):
     SIGNED_RATIO = "signed-ratio"
 
 
+AFFINE_TOL = 1e-9  # distance from the chord an affine map may keep, per unit of value range
+DISTORTION_SAMPLES = 2048  # unit steps that unit_distortion compares
+
+
 class TransformationAudit(NamedTuple):
     """Classification of a scalar transformation against the permissible families.
 
     order_preserving: strictly increasing on the probed grid.
     affine: an order-preserving linear map x -> s*x + c with s > 0 (every
-        value lies on the chord through the two end values).
+        value lies on the chord through the two end values, to rounding).
     positive_scalar: affine with zero intercept.
-    unit_distortion: max/min ratio of the slopes between neighbouring grid
-        points; 1 for affine maps, > 1 when the unit stretches across the range.
     """
 
-    sample_grid: tuple[float, ...]
     order_preserving: bool
     affine: bool
     positive_scalar: bool
-    unit_distortion: float
 
 
-def classify_transformation(
-    f: Callable[[float], float],
-    grid: Sequence[float],
-    tol: float = 1e-9,
-) -> TransformationAudit:
+def classify_transformation(f: Callable[[float], float], grid: Sequence[float]) -> TransformationAudit:
     """Audit f on the grid as given, evaluating it once per point.
 
-    f is affine when no value lies farther than tol times the range of the
-    values from the chord through the two end values, a test that does not
-    depend on the number or spacing of the points. The intercept of that
-    chord must also be within it for a positive scalar.
+    f is affine when no value lies farther from the chord through the two
+    end values than AFFINE_TOL times the range of the values, a test that
+    does not depend on the number or spacing of the points, or than the
+    rounding of the values and the chord, whichever is larger. The
+    intercept of that chord must also be within it for a positive scalar.
     """
     pts = [float(x) for x in grid]
     if len(pts) < 4:
@@ -81,41 +78,29 @@ def classify_transformation(
         raise DegenerateGridError("grid must be strictly increasing")
 
     vals = [f(x) for x in pts]
-    order_preserving = all(b > a for a, b in zip(vals, vals[1:]))
-    value_range = max(vals) - min(vals)
-    scale = value_range if value_range > 0.0 else 1.0
-
     x0, v0 = pts[0], vals[0]
     slope = (vals[-1] - v0) / (pts[-1] - x0)
+    # Values far larger than their range round by more than AFFINE_TOL of it.
+    rounding = 4.0 * sys.float_info.epsilon * (
+        max(map(abs, vals)) + abs(slope) * max(abs(x0), abs(pts[-1])))
+    tol = max(AFFINE_TOL * (max(vals) - min(vals)), rounding)
     off_chord = max(abs(v - (v0 + slope * (x - x0))) for x, v in zip(pts, vals))
-    affine = off_chord <= tol * scale and slope > 0.0
-    positive_scalar = affine and abs(v0 - slope * x0) <= tol * scale
-
-    slopes = [(vb - va) / (xb - xa) for xa, xb, va, vb in zip(pts, pts[1:], vals, vals[1:])]
-    min_slope = min(slopes)
-    distortion = max(slopes) / min_slope if min_slope > 0.0 else math.inf
-
+    affine = off_chord <= tol and slope > 0.0
     return TransformationAudit(
-        sample_grid=tuple(pts),
-        order_preserving=order_preserving,
+        order_preserving=all(b > a for a, b in zip(vals, vals[1:])),
         affine=affine,
-        positive_scalar=positive_scalar,
-        unit_distortion=distortion,
+        positive_scalar=affine and abs(v0 - slope * x0) <= tol,
     )
 
 
-def unit_distortion(
-    f: Callable[[float], float],
-    interval: tuple[float, float],
-    unit: float,
-    samples: int = 2048,
-) -> float:
+def unit_distortion(f: Callable[[float], float], interval: tuple[float, float], unit: float) -> float:
     """How much the image of a fixed unit step varies across an interval.
 
-    Returns max_x [f(x+unit) - f(x)] / min_x [f(x+unit) - f(x)] with x
-    sampled densely on [lo, hi-unit]. Affine maps give 1 (to rounding);
-    larger values quantify rubber-scale stretching, e.g. the natural log
-    maps a unit step near 50 to about twice the step near 100.
+    Returns max_x [f(x+unit) - f(x)] / min_x [f(x+unit) - f(x)] over
+    DISTORTION_SAMPLES evenly spaced x on [lo, hi-unit]. Affine maps give 1
+    (to rounding); larger values quantify rubber-scale stretching, e.g. the
+    natural log maps a unit step near 50 to about twice the step near 100.
+    A map that is not increasing somewhere gives inf.
     """
     lo, hi = interval
     if unit <= 0.0:
@@ -124,16 +109,11 @@ def unit_distortion(
         raise ValueError(
             f"interval ({lo}, {hi}) must span at least two units of {unit}"
         )
-    steps = [f(x + unit) - f(x) for x in linspace(lo, hi - unit, samples)]
+    steps = [f(x + unit) - f(x) for x in linspace(lo, hi - unit, DISTORTION_SAMPLES)]
     min_step = min(steps)
-    max_step = max(steps)
     if min_step <= 0.0:
-        warnings.warn(
-            "transformation is not increasing everywhere on the interval",
-            stacklevel=2,
-        )
         return math.inf
-    return max_step / min_step
+    return max(steps) / min_step
 
 
 def permissible(scale: ScaleType, audit: TransformationAudit) -> bool:
@@ -180,17 +160,16 @@ def _reported(kind: str, values: tuple[float, float]) -> tuple[float, float]:
     return values
 
 
-class DiscordantPairs(Sequence[DiscordantPair]):
+class DiscordantPairs:
     """The discordant pairs of an agreement report, generated on demand.
 
     Holds the kept outcomes, the ranked value column of each statistic (a
     ratio kind's is its log column) and the discordant count of each
     compared kind pair, so its memory is linear in the number of outcomes
-    however many pairs reverse. ``len`` is the total
-    count; iteration, which may be repeated, yields the pairs in the
-    report's order: kind pairs in the order of ``statistic_kinds``, then
-    outcome index pairs i < j lexicographically. Indexing walks to the
-    requested pair, and a slice returns a tuple.
+    however many pairs reverse. ``len`` is the total count; iteration,
+    which may be repeated, yields the pairs in the report's order: kind
+    pairs in the order of ``statistic_kinds``, then outcome index pairs
+    i < j lexicographically. It is a stream, not a sequence: no indexing.
     """
 
     def __init__(
@@ -226,15 +205,6 @@ class DiscordantPairs(Sequence[DiscordantPair]):
                     count -= 1
             i += 1
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            positions = range(self._len)[index]
-            if positions.step < 0:
-                return tuple(self)[index]
-            return tuple(itertools.islice(self, positions.start, positions.stop, positions.step))
-        position = range(self._len)[index]  # IndexError when out of range
-        return next(itertools.islice(self, position, None))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (tuple, DiscordantPairs)):
             return NotImplemented
@@ -247,9 +217,9 @@ class DiscordantPairs(Sequence[DiscordantPair]):
 class AgreementReport(NamedTuple):
     """Kendall tau-b between statistics over a data grid.
 
-    ``discordant_pairs`` is a lazy, re-iterable sequence of the witnesses
-    (DiscordantPairs): its length is the total discordant count from the
-    tau computation, and no pair is built until it is read.
+    ``discordant_pairs`` is a lazy, sized, re-iterable stream of the
+    witnesses (DiscordantPairs): its length is the total discordant count
+    from the tau computation, and no pair is built until it is read.
     """
 
     dataset_grid: tuple[BinomialOutcome, ...]

@@ -50,7 +50,12 @@ class _TrPResult(NamedTuple):
 
 
 class TrPResult(_TrPResult):
-    """A root of the log Bayes factor in the observed proportion, at fixed n."""
+    """A root of the log Bayes factor in the observed proportion, at fixed n.
+
+    bracket_width is the width of the bracket bisection stopped at around
+    trp_y: at most the tol asked for, or one double spacing where tol is
+    finer. It is 0 for a closed-form or exact root.
+    """
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
@@ -109,12 +114,12 @@ def _solve_trp(
 ) -> TrPResult:
     g = _log_bf_of_y(n, h1, h2)
     try:
-        root = find_root(g, RootBracket(lo, hi, tol=tol))
+        root, width = find_root(g, RootBracket(lo, hi, tol=tol))
     except InvalidBracketError as err:
         raise NoSignChangeError(
             f"log BF does not change sign on y in [{lo}, {hi}] at n={n}"
         ) from err
-    return TrPResult(n=n, trp_y=root, residual=abs(g(root)), bracket_width=tol)
+    return TrPResult(n=n, trp_y=root, residual=abs(g(root)), bracket_width=width)
 
 
 def trp_composite(

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import shlex
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -281,6 +283,16 @@ class TestTrp:
         assert float(rows[-1 if command[0] == "figure1" else 0][y]) == pytest.approx(
             GOLDEN_TRP_N10, abs=1e-12)
 
+    def test_bracket_width_is_the_width_reached(self, capsys):
+        _, rows = parse_csv(run_cli(capsys, "trp", "--n", "10")[1])
+        assert 0.0 < float(rows[0]["bracket_width"]) < 1e-12
+        # below the double spacing the bracket stops at adjacent doubles
+        _, rows = parse_csv(run_cli(capsys, "trp", "--n", "10", "--tol", "1e-20")[1])
+        assert float(rows[0]["bracket_width"]) == pytest.approx(
+            math.ulp(float(rows[0]["trp_y"])), rel=1e-9)
+        _, rows = parse_csv(run_cli(capsys, "trp", "--setup", "simple", "--n", "10")[1])
+        assert float(rows[0]["bracket_width"]) == 0.0
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("argv", [
@@ -444,6 +456,23 @@ class TestAudit:
         _, rows = parse_csv(out)
         assert rows[0]["affine"] == "true"
         assert rows[0]["positive_scalar"] == "false"
+
+    def test_transform_degrees_on_a_narrow_interval(self, capsys):
+        # the values are 1e7 times their range, so rounding exceeds 1e-9 of it
+        status, out = run_cli(capsys, "audit", "transform", "--f", "f2c",
+                              "--interval", "98.6,98.600001", "--unit", "1e-8")
+        assert status == 0
+        _, rows = parse_csv(out)
+        assert (rows[0]["affine"], rows[0]["positive_scalar"]) == ("true", "false")
+
+    def test_transform_decreasing_map_is_inf_with_nothing_on_stderr(self):
+        # a fresh interpreter shows a Python warning, which pytest would capture
+        proc = subprocess.run([sys.executable, "-m", "evlab", "audit", "transform",
+                               "--f", "affine:-1,0", "--interval", "1,5"],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        _, rows = parse_csv(proc.stdout)
+        assert (rows[0]["order_preserving"], rows[0]["unit_distortion"]) == ("false", "inf")
 
     def test_agreement_finds_witnesses(self, capsys):
         status, out = run_cli(

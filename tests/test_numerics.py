@@ -170,15 +170,15 @@ class TestIncompleteBeta:
 
 class TestFindRoot:
     def test_linear(self):
-        root = find_root(lambda x: x - 0.5, RootBracket(0.0, 1.0, tol=1e-10))
+        root, _ = find_root(lambda x: x - 0.5, RootBracket(0.0, 1.0, tol=1e-10))
         assert root == pytest.approx(0.5, abs=1e-10)
 
     def test_sqrt_two(self):
-        root = find_root(lambda x: x * x - 2.0, RootBracket(1.0, 2.0, tol=1e-10))
+        root, _ = find_root(lambda x: x * x - 2.0, RootBracket(1.0, 2.0, tol=1e-10))
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-10)
 
     def test_asymmetric_bracket(self):
-        root = find_root(lambda x: x, RootBracket(-1.0, 2.0, tol=1e-10))
+        root, _ = find_root(lambda x: x, RootBracket(-1.0, 2.0, tol=1e-10))
         assert root == pytest.approx(0.0, abs=1e-10)
 
     def test_invalid_bracket(self):
@@ -195,9 +195,10 @@ class TestFindRoot:
     def test_every_positive_tol_gives_a_root(self, tol, square):
         # below the double spacing the bracket stops at adjacent doubles
         f = lambda x: x * x - square
-        root = find_root(f, RootBracket(0.0, 1.0, tol=tol))
+        root, width = find_root(f, RootBracket(0.0, 1.0, tol=tol))
         step = max(tol, 2.0 * math.ulp(root))
         assert 0.0 < root < 1.0
+        assert 0.0 <= width <= step  # the width reached, not the tol asked for
         assert f(root) == 0.0 or f(max(0.0, root - step)) <= 0.0 <= f(min(1.0, root + step))
 
     def test_tol_below_the_spacing_stops_at_adjacent_doubles(self):
@@ -207,14 +208,14 @@ class TestFindRoot:
             calls.append(x)
             return x * x - 2.0
 
-        root = find_root(f, RootBracket(1.0, 2.0, tol=1e-300))
+        root, _ = find_root(f, RootBracket(1.0, 2.0, tol=1e-300))
         assert abs(root - math.sqrt(2.0)) <= math.ulp(root)
         assert len(calls) <= 2 + 53  # two ends, then one halving per bit
 
     def test_refinement_invariance(self):
         f = lambda x: math.cos(x) - x
-        coarse = find_root(f, RootBracket(0.0, 1.0, tol=1e-9))
-        fine = find_root(f, RootBracket(0.0, 1.0, tol=5e-10))
+        coarse, _ = find_root(f, RootBracket(0.0, 1.0, tol=1e-9))
+        fine, _ = find_root(f, RootBracket(0.0, 1.0, tol=5e-10))
         assert abs(coarse - fine) <= 1e-9
 
     def test_bracket_validation(self):

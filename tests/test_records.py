@@ -1,5 +1,6 @@
 """The result records are immutable NamedTuples; five of them validate their fields."""
 
+import math
 import re
 
 import pytest
@@ -44,7 +45,7 @@ def _records():
         SHRINK.endpoint_summary,
         SHRINK,
         shrink_n_config(),
-        TransformationAudit((1.0, 2.0), True, True, True, 1.0),
+        TransformationAudit(True, True, True),
         DiscordantPair(DATA, BinomialOutcome(10, 4), "neglogp", "abslogbf", (1, 2), (2, 1)),
         AgreementConfig(),
         rank_order_agreement(outcome_grid(4), ["neglogp", "abslogbf"]),
@@ -79,8 +80,10 @@ REJECTED = [
      "support must be a positive-width subinterval of [0,1], got (-0.1, 0.5)"),
     (CompositeHypothesis, (), {"support": (0.3, 0.3)},
      "support must be a positive-width subinterval of [0,1], got (0.3, 0.3)"),
-    (CompositeHypothesis, ((0.0, 1.0), 0.0, 1.0), {}, "prior shapes must be positive, got a=0.0, b=1.0"),
-    (CompositeHypothesis, (), {"b": -2.0}, "prior shapes must be positive, got a=1.0, b=-2.0"),
+    (CompositeHypothesis, ((0.0, 1.0), 0.0, 1.0), {},
+     "prior shapes must be positive and finite, got a=0.0, b=1.0"),
+    (CompositeHypothesis, (), {"b": -2.0},
+     "prior shapes must be positive and finite, got a=1.0, b=-2.0"),
     (RootBracket, (1.0, 0.0), {}, "bracket requires lo < hi, got [1.0, 0.0]"),
     (RootBracket, (0.0, 0.0), {}, "bracket requires lo < hi, got [0.0, 0.0]"),
     (RootBracket, (0.0, 1.0), {"tol": 0.0}, "bracket tolerance must be positive, got 0.0"),
@@ -90,6 +93,13 @@ REJECTED = [
     (TrPResult, (10.0, 0.5, 1e-7, 0.0), {}, "root residual 1e-07 exceeds the limit 1e-08"),
     (TrPResult, (10.0, 0.5, -1e-9, 0.0), {}, "root residual -1e-09 exceeds the limit 1e-08"),
     (TrPResult, (10.0, 0.5, 0.0, -1.0), {}, "bracket width must be nonnegative, got -1.0"),
+    # appended, so the ids of the rows above keep their index
+    (CompositeHypothesis, ((0.0, 1.0), math.inf, 1.0), {},
+     "prior shapes must be positive and finite, got a=inf, b=1.0"),
+    (CompositeHypothesis, (), {"b": math.inf},
+     "prior shapes must be positive and finite, got a=1.0, b=inf"),
+    (CompositeHypothesis, ((0.0, 1.0), math.nan, 1.0), {},
+     "prior shapes must be positive and finite, got a=nan, b=1.0"),
 ]
 
 
@@ -105,7 +115,8 @@ REPLACED = [
     (BinomialOutcome(10, 3), {"k": 11}, "require 0 <= k <= n, got n=10, k=11"),
     (BinomialOutcome(10, 3), {"n": float("nan")}, "trial count must be nonnegative, got n=nan"),
     (PointHypothesis(0.5), {"theta0": 2.0}, "point hypothesis requires theta0 in (0,1), got 2.0"),
-    (CompositeHypothesis(), {"a": -1.0}, "prior shapes must be positive, got a=-1.0, b=1.0"),
+    (CompositeHypothesis(), {"a": -1.0},
+     "prior shapes must be positive and finite, got a=-1.0, b=1.0"),
     (RootBracket(0.0, 1.0), {"hi": -1.0}, "bracket requires lo < hi, got [0.0, -1.0]"),
     (TrPResult(10.0, 0.4, 0.0, 0.0), {"residual": 5e-4},
      "root residual 0.0005 exceeds the limit 1e-08"),
