@@ -26,13 +26,12 @@ _HOMES = {
     ), "evidence"),
     **dict.fromkeys((
         "log_gamma", "log_beta", "log_binomial_coeff", "regularized_incomplete_beta",
-        "RootBracket", "find_root", "InvalidBracketError", "ConvergenceError",
+        "find_root", "InvalidBracketError", "ConvergenceError",
     ), "numerics"),
     **dict.fromkeys((
-        "TrPResult", "CurveEntry", "NoSignChangeError", "trp_simple", "trp_composite",
-        "trp_composite_two_sided", "trp_curve", "against_both", "zero_path",
-        "ZeroPathConfig", "ZeroPathPoint", "ZeroPathEndpoint", "ZeroPathReport",
-        "shrink_n_config", "ride_trp_config", "SHRINK_N", "RIDE_TRP",
+        "TrPResult", "NoSignChangeError", "trp_simple", "trp_composite",
+        "trp_composite_two_sided", "against_both", "zero_path", "ZeroPathConfig",
+        "ZeroPathPoint", "ZeroPathReport", "default_config", "SHRINK_N", "RIDE_TRP",
     ), "transition"),
     **dict.fromkeys((
         "ScaleType", "TransformationAudit", "classify_transformation", "unit_distortion",

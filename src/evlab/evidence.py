@@ -9,6 +9,7 @@ handled by the command-line layer.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from typing import NamedTuple, Union
@@ -229,19 +230,42 @@ def neg_log_p(data: BinomialOutcome, null: PointHypothesis) -> float:
     return -math.log(p)
 
 
+def _bd0(x: float, n: float, p: float) -> float:
+    """x ln(x/m) + m - x at m = n p, the deviance term of Loader (2000), for
+    x >= 0, n > 0 and p in (0, 1).
+
+    Near x = m the two parts cancel, so there the value is summed instead as
+    (x-m)^2/(x+m) + 2x sum_j v^(2j+1)/(2j+1), v = (x-m)/(x+m), whose terms
+    all have one sign. It is exactly 0.0 when x equals m. No part
+    overflows before the value does: the series runs only where x + m is
+    finite and forms 2vx with |2v| < 1, and elsewhere m - x is added last.
+    x/m is taken as x/n/p, which stays finite where n p underflows to 0.
+    """
+    m = n * p
+    if abs(x - m) < 0.1 * (x + m) < math.inf:
+        v = (x - m) / (x + m)
+        s, term = (x - m) * v, 2.0 * v * x
+        for j in itertools.count(3, 2):
+            term *= v * v
+            if (grown := s + term / j) == s:
+                return s
+            s = grown
+    return _xlogy(x, x / n / p) + (m - x)
+
+
 def log_mlr(data: BinomialOutcome, null: PointHypothesis) -> float:
     """Log maximum likelihood ratio of the unrestricted model against a point null.
 
     The numerator likelihood is maximized at the observed proportion
-    y = k/n, so the value is always >= 0; it is exactly 0.0 when y equals
-    theta0. Boundary data (k = 0 or k = n) use the 0 * ln(0) = 0 convention.
+    y = k/n, so the value is n times the Kullback-Leibler divergence of y
+    from theta0, always >= 0 and exactly 0.0 when k equals n theta0. Each
+    outcome's share is summed by _bd0, which keeps full relative precision
+    near the null; boundary data (k = 0 or k = n) use 0 * ln(0) = 0.
     """
     if data.n <= 0:
         raise ValueError(f"log_mlr requires n > 0, got n={data.n}")
-    n, k = data.n, data.k
-    max_term = _xlogy(k, k / n) + _xlogy(n - k, (n - k) / n)
-    null_term = _point_log_lik(data, null.theta0)
-    return max_term - null_term
+    n, k, theta0 = data.n, data.k, null.theta0
+    return _bd0(k, n, theta0) + _bd0(n - k, n, 1.0 - theta0)
 
 
 def log_slr(data: BinomialOutcome, h1: PointHypothesis, h2: PointHypothesis) -> float:

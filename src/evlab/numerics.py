@@ -9,7 +9,7 @@ fraction evaluated with the modified Lentz algorithm.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable
 
 
 class InvalidBracketError(ValueError):
@@ -113,41 +113,23 @@ def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
     return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
 
 
-class _RootBracket(NamedTuple):
-    lo: float
-    hi: float
-    tol: float
+def find_root(
+    f: Callable[[float], float], lo: float, hi: float, tol: float = DEFAULT_TOL
+) -> tuple[float, float]:
+    """Locate a zero of f inside the bracket [lo, hi] by plain bisection.
 
-
-class RootBracket(_RootBracket):
-    """A sign-change interval [lo, hi] for bisection.
-
-    tol is the absolute tolerance on the argument; the target function
-    must take values of strictly opposite sign at lo and hi (checked by
-    find_root).
+    f must take values of strictly opposite sign at lo and hi; tol is the
+    absolute tolerance on the argument. Deterministic: no randomized or
+    derivative-based steps. Returns the bracket midpoint once the bracket
+    width has shrunk to tol or no double lies strictly between its ends, or
+    an exact zero of f if one is hit along the way, together with the width
+    of the bracket reached (0 for an exact zero). Each step halves the
+    bracket, so any tol terminates.
     """
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
-
-    def __new__(cls, lo: float, hi: float, tol: float = DEFAULT_TOL):
-        if not lo < hi:
-            raise ValueError(f"bracket requires lo < hi, got [{lo}, {hi}]")
-        if not tol > 0.0:
-            raise ValueError(f"bracket tolerance must be positive, got {tol}")
-        return tuple.__new__(cls, (lo, hi, tol))
-
-
-def find_root(f: Callable[[float], float], bracket: RootBracket) -> tuple[float, float]:
-    """Locate a zero of f inside the bracket by plain bisection.
-
-    Deterministic: no randomized or derivative-based steps. Returns the
-    bracket midpoint once the bracket width has shrunk to bracket.tol or no
-    double lies strictly between its ends, or an exact zero of f if one is
-    hit along the way, together with the width of the bracket reached (0 for
-    an exact zero). Each step halves the bracket, so any tol terminates.
-    """
-    lo, hi = bracket.lo, bracket.hi
+    if not lo < hi:
+        raise ValueError(f"bracket requires lo < hi, got [{lo}, {hi}]")
+    if not tol > 0.0:
+        raise ValueError(f"bracket tolerance must be positive, got {tol}")
     f_lo = f(lo)
     f_hi = f(hi)
     if f_lo == 0.0 or f_hi == 0.0 or (f_lo < 0.0) == (f_hi < 0.0):
@@ -165,7 +147,7 @@ def find_root(f: Callable[[float], float], bracket: RootBracket) -> tuple[float,
         else:
             hi = mid
         mid = 0.5 * (lo + hi)
-        if hi - lo <= bracket.tol:
+        if hi - lo <= tol:
             break
     return mid, hi - lo
 

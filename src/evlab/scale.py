@@ -51,7 +51,7 @@ DISTORTION_SAMPLES = 2048  # unit steps that unit_distortion compares
 class TransformationAudit(NamedTuple):
     """Classification of a scalar transformation against the permissible families.
 
-    order_preserving: strictly increasing on the probed grid.
+    order_preserving: strictly increasing on the probed grid, or affine.
     affine: an order-preserving linear map x -> s*x + c with s > 0 (every
         value lies on the chord through the two end values, to rounding).
     positive_scalar: affine with zero intercept.
@@ -69,7 +69,9 @@ def classify_transformation(f: Callable[[float], float], grid: Sequence[float]) 
     end values than AFFINE_TOL times the range of the values, a test that
     does not depend on the number or spacing of the points, or than the
     rounding of the values and the chord, whichever is larger. The
-    intercept of that chord must also be within it for a positive scalar.
+    intercept of that chord must also be within it, widened by how far 0
+    lies from the grid, for a positive scalar. An affine f counts as order
+    preserving even where rounding leaves its values flat.
     """
     pts = [float(x) for x in grid]
     if len(pts) < 4:
@@ -86,10 +88,13 @@ def classify_transformation(f: Callable[[float], float], grid: Sequence[float]) 
     tol = max(AFFINE_TOL * (max(vals) - min(vals)), rounding)
     off_chord = max(abs(v - (v0 + slope * (x - x0))) for x, v in zip(pts, vals))
     affine = off_chord <= tol and slope > 0.0
+    # The slope is known to about tol / width, so the chord's value at 0,
+    # max|x| away from the grid, is known to tol (1 + max|x| / width).
+    reach = 1.0 + max(abs(x0), abs(pts[-1])) / (pts[-1] - x0)
     return TransformationAudit(
-        order_preserving=all(b > a for a, b in zip(vals, vals[1:])),
+        order_preserving=affine or all(b > a for a, b in zip(vals, vals[1:])),
         affine=affine,
-        positive_scalar=affine and abs(v0 - slope * x0) <= tol,
+        positive_scalar=affine and abs(v0 - slope * x0) <= tol * reach,
     )
 
 

@@ -22,10 +22,11 @@ from .evidence import (
     CompositeHypothesis,
     PointHypothesis,
     log_bf,
+    log_mlr,
     log_slr,
     uniform_prior,
 )
-from .numerics import DEFAULT_TOL, InvalidBracketError, RootBracket, find_root
+from .numerics import DEFAULT_TOL, InvalidBracketError, find_root
 
 # Root residuals above this are treated as a failed solve.
 RESIDUAL_LIMIT = 1e-8
@@ -70,14 +71,6 @@ class TrPResult(_TrPResult):
         return tuple.__new__(cls, (n, trp_y, residual, bracket_width))
 
 
-class CurveEntry(NamedTuple):
-    """One sweep entry: a TrPResult on success, an error message on failure."""
-
-    n: float
-    result: TrPResult | None
-    error: str | None = None
-
-
 def trp_simple(theta1: float, theta2: float) -> float:
     """Closed-form transition point between two point hypotheses.
 
@@ -102,19 +95,20 @@ def trp_point_pair(n: float, h1: PointHypothesis, h2: PointHypothesis) -> TrPRes
     return TrPResult(n=n, trp_y=y, residual=residual, bracket_width=0.0)
 
 
-def _log_bf_of_y(n: float, h1: CompositeHypothesis, h2: PointHypothesis):
-    def g(y: float) -> float:
-        return log_bf(BinomialOutcome(n, y * n, CONTINUOUS), h1, h2)
-
-    return g
-
-
 def _solve_trp(
     n: float, h1: CompositeHypothesis, h2: PointHypothesis, lo: float, hi: float, tol: float
 ) -> TrPResult:
-    g = _log_bf_of_y(n, h1, h2)
+    if not lo < hi:
+        raise ValueError(
+            f"support {h1.support} leaves no room for a root more than {BRACKET_MARGIN} "
+            f"inside it and away from the null {h2.theta0}"
+        )
+
+    def g(y: float) -> float:
+        return log_bf(BinomialOutcome(n, y * n, CONTINUOUS), h1, h2)
+
     try:
-        root, width = find_root(g, RootBracket(lo, hi, tol=tol))
+        root, width = find_root(g, lo, hi, tol)
     except InvalidBracketError as err:
         raise NoSignChangeError(
             f"log BF does not change sign on y in [{lo}, {hi}] at n={n}"
@@ -173,36 +167,14 @@ def trp_composite_two_sided(
     return lower, upper
 
 
-def trp_curve(
-    n_values: list[float] | tuple[float, ...],
-    h1: CompositeHypothesis,
-    h2: PointHypothesis,
-    tol: float = DEFAULT_TOL,
-) -> list[CurveEntry]:
-    """Transition point per trial count over a strictly increasing sweep.
-
-    Failures (no sign change, residual over limit) are recorded per entry
-    without aborting the rest of the sweep.
-    """
-    if any(b <= a for a, b in zip(n_values, n_values[1:])):
-        raise ValueError(f"n values must be strictly increasing, got {list(n_values)}")
-    entries: list[CurveEntry] = []
-    for n in n_values:
-        try:
-            entries.append(CurveEntry(n=n, result=trp_composite(n, h1, h2, tol)))
-        except (ValueError, RuntimeError) as err:
-            entries.append(CurveEntry(n=n, result=None, error=str(err)))
-    return entries
-
-
 def against_both(data: BinomialOutcome, theta1: float, theta2: float) -> float:
     """How strongly the data contradict the *better* of two point hypotheses.
 
     Defined as min_i [ log-likelihood at the MLE y minus log-likelihood at
     theta_i ]. It is 0 when the data sit exactly on one hypothesis and, for
     fixed y strictly between the two, grows linearly in the trial count.
-    This is a proxy measure: each branch is n times the KL divergence of y
-    from theta_i.
+    This is a proxy measure: each branch is log_mlr against theta_i, n times
+    the KL divergence of y from theta_i.
     """
     if data.n <= 0:
         raise ValueError(f"against_both requires n > 0, got n={data.n}")
@@ -210,17 +182,7 @@ def against_both(data: BinomialOutcome, theta1: float, theta2: float) -> float:
         raise ValueError(f"hypotheses must lie in (0,1), got {theta1}, {theta2}")
     if theta1 == theta2:
         raise ValueError("against_both requires distinct hypotheses")
-    n, k = data.n, data.k
-
-    def branch(theta: float) -> float:
-        out = 0.0
-        if k > 0:
-            out += k * math.log((k / n) / theta)
-        if n - k > 0:
-            out += (n - k) * math.log(((n - k) / n) / (1.0 - theta))
-        return out
-
-    return min(branch(theta1), branch(theta2))
+    return min(log_mlr(data, PointHypothesis(theta1)), log_mlr(data, PointHypothesis(theta2)))
 
 
 class ZeroPathPoint(NamedTuple):
@@ -230,17 +192,11 @@ class ZeroPathPoint(NamedTuple):
     against_both: float
 
 
-class ZeroPathEndpoint(NamedTuple):
-    final_log_bf: float
-    final_against_both: float
-
-
 class ZeroPathReport(NamedTuple):
-    """Trace of one route to log BF = 0, with its endpoint summary."""
+    """Trace of one route to log BF = 0; trace[-1] is where it ends."""
 
     path_kind: str
     trace: tuple[ZeroPathPoint, ...]
-    endpoint_summary: ZeroPathEndpoint
 
 
 class ZeroPathConfig(NamedTuple):
@@ -260,27 +216,19 @@ class ZeroPathConfig(NamedTuple):
     tol: float = DEFAULT_TOL
 
 
-def shrink_n_config() -> ZeroPathConfig:
-    """Default shrink-n setup: uniform prior on [1/2, 1] against theta0 = 1/2,
-    observed proportion held at 0.9 while n falls geometrically toward 0."""
-    return ZeroPathConfig(
-        h1=uniform_prior(0.5, 1.0),
-        n_values=(8.0, 4.0, 2.0, 1.0, 0.5, 0.1),
-    )
-
-
-def ride_trp_config() -> ZeroPathConfig:
-    """Default ride-trp setup: uniform prior on [0, 1/2] against theta0 = 1/2,
-    riding the drifting transition point as n grows."""
-    return ZeroPathConfig(
-        h1=uniform_prior(0.0, 0.5),
-        n_values=(10.0, 100.0, 1000.0),
-    )
-
-
 def default_config(path_kind: str) -> ZeroPathConfig:
-    """The default setup of a path kind: shrink_n_config or ride_trp_config."""
-    return shrink_n_config() if path_kind == SHRINK_N else ride_trp_config()
+    """The default setup of a path kind.
+
+    shrink-n: uniform prior on [1/2, 1] against theta0 = 1/2, observed
+    proportion held at 0.9 while n falls geometrically toward 0.
+    ride-trp: uniform prior on [0, 1/2] against theta0 = 1/2, riding the
+    drifting transition point as n grows.
+    """
+    if path_kind == SHRINK_N:
+        return ZeroPathConfig(h1=uniform_prior(0.5, 1.0), n_values=(8.0, 4.0, 2.0, 1.0, 0.5, 0.1))
+    if path_kind == RIDE_TRP:
+        return ZeroPathConfig(h1=uniform_prior(0.0, 0.5), n_values=(10.0, 100.0, 1000.0))
+    raise ValueError(f"path kind must be one of {PATH_KINDS}, got {path_kind!r}")
 
 
 def zero_path(path_kind: str, config: ZeroPathConfig | None = None) -> ZeroPathReport:
@@ -294,10 +242,10 @@ def zero_path(path_kind: str, config: ZeroPathConfig | None = None) -> ZeroPathR
     the contradiction proxy keeps growing. The two traces end at the same
     log BF but at very different states.
     """
-    if path_kind not in PATH_KINDS:
-        raise ValueError(f"path kind must be one of {PATH_KINDS}, got {path_kind!r}")
     if config is None:
         config = default_config(path_kind)
+    elif path_kind not in PATH_KINDS:
+        raise ValueError(f"path kind must be one of {PATH_KINDS}, got {path_kind!r}")
     ns = config.n_values
     if not ns:
         raise ValueError("zero path requires at least one n value")
@@ -326,9 +274,4 @@ def zero_path(path_kind: str, config: ZeroPathConfig | None = None) -> ZeroPathR
                 against_both=against_both(data, t1, t2),
             )
         )
-    last = points[-1]
-    return ZeroPathReport(
-        path_kind=path_kind,
-        trace=tuple(points),
-        endpoint_summary=ZeroPathEndpoint(last.log_bf, last.against_both),
-    )
+    return ZeroPathReport(path_kind=path_kind, trace=tuple(points))

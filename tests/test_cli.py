@@ -256,6 +256,17 @@ class TestTrp:
         _, rows = parse_csv(out)
         assert len(rows) == 3  # one failure row at n=1, two roots at n=10
 
+    @pytest.mark.parametrize("setup, support, named", [
+        ("one-sided", "0.5,0.5000005", "support (0.5, 0.5000005) "),
+        ("two-sided", "0.4999995,1", "support (0.4999995, 1.0) "),
+    ])
+    def test_too_narrow_support_names_the_support(self, capsys, setup, support, named):
+        status, out = run_cli(capsys, "trp", "--setup", setup, "--support", support, "--n", "10")
+        assert status == 1
+        _, rows = parse_csv(out)
+        assert rows[0]["error"].startswith(named)
+        assert "null 0.5" in rows[0]["error"] and "bracket" not in rows[0]["error"]
+
     def test_one_sided_large_n(self, capsys):
         # needs more continued-fraction iterations than the former fixed cap of 300
         status, out = run_cli(capsys, "trp", "--setup", "one-sided", "--n", "1000000")
@@ -357,6 +368,12 @@ class TestZeroPaths:
         ride_final = [r for r in rows if r["path"] == "ride-trp"][-1]
         assert float(shrink_final["against_both"]) < 0.01
         assert float(ride_final["against_both"]) > 100.0
+
+    def test_too_narrow_support_names_the_support(self, capsys):
+        status = main(["zero-paths", "ride-trp", "--support", "0.5,0.5000005"])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert "support (0.5, 0.5000005)" in err and "bracket" not in err
 
     def test_path_and_both_conflict(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -464,6 +481,25 @@ class TestAudit:
         assert status == 0
         _, rows = parse_csv(out)
         assert (rows[0]["affine"], rows[0]["positive_scalar"]) == ("true", "false")
+
+    @pytest.mark.parametrize("flags, verdicts", [
+        # rounding leaves these values flat, but an affine map still preserves order
+        (["--f", "affine:0.01,0", "--interval", "1000,1000.00000000001", "--unit", "1e-12"],
+         ("true", "true", "true")),
+        # a zero intercept 500 units from a grid 0.01 wide
+        (["--f", "affine:0.7,0", "--interval", "500,500.01", "--unit", "0.001"],
+         ("true", "true", "true")),
+        (["--f", "affine:0.7,1", "--interval", "500,500.01", "--unit", "0.001"],
+         ("true", "true", "false")),
+        (["--f", "f2c", "--interval", "500,500.01", "--unit", "0.001"],
+         ("true", "true", "false")),
+    ])
+    def test_transform_verdicts_nest_far_from_zero(self, capsys, flags, verdicts):
+        status, out = run_cli(capsys, "audit", "transform", *flags)
+        assert status == 0
+        _, rows = parse_csv(out)
+        assert tuple(rows[0][c] for c in ("order_preserving", "affine", "positive_scalar")) == (
+            verdicts)
 
     def test_transform_decreasing_map_is_inf_with_nothing_on_stderr(self):
         # a fresh interpreter shows a Python warning, which pytest would capture

@@ -236,6 +236,45 @@ class TestLogMlr:
         with pytest.raises(ValueError):
             log_mlr(BinomialOutcome(0, 0), FAIR)
 
+    @pytest.mark.parametrize("n, k", [(10**6, 500100), (10**7, 5000100), (10**7, 4999999)])
+    def test_full_precision_near_the_null_at_large_n(self, n, k):
+        # each of k ln(k/n) and k ln(1/2) is about n ln 2 here; their difference is tiny
+        with mpmath.workdps(50):
+            expected = float(k * mpmath.log(mpmath.mpf(2 * k) / n)
+                             + (n - k) * mpmath.log(mpmath.mpf(2 * (n - k)) / n))
+        assert log_mlr(BinomialOutcome(n, k), FAIR) == pytest.approx(expected, rel=1e-14)
+
+    def test_matches_the_divergence_for_any_null(self):
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            n = int(10 ** rng.uniform(0.0, 7.0))
+            k = int(rng.integers(0, n + 1))
+            theta0 = float(rng.uniform(0.01, 0.99))
+            with mpmath.workdps(50):
+                t = mpmath.mpf(theta0)
+                expected = float(
+                    (k * mpmath.log(mpmath.mpf(k) / (n * t)) if k else 0)
+                    + (mpmath.mpf(n - k) * mpmath.log((n - k) / (n * (1 - t))) if n - k else 0))
+            # the rounding of n theta0 alone can move a value near the null by about
+            # 2 eps n theta0 / |k - n theta0| of itself; these draws keep that far below 1e-12
+            got = log_mlr(BinomialOutcome(n, k), PointHypothesis(theta0))
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-300), (n, k, theta0)
+
+    @pytest.mark.parametrize("n, k, theta0, expected", [
+        # n theta0 underflows to 0; the value is k ln(1/theta0)
+        (1e-300, 1e-300, 1e-30, 1e-300 * 30 * math.log(10.0)),
+        # k + n theta0 overflows a double; the value does not
+        (1.7e308, 1.7e308, 0.5, 1.7e308 * math.log(2.0)),
+        (1.7e308, 1.5e308, 0.5, 1.5e308 * math.log(1.5 / 0.85) + 0.2e308 * math.log(0.2 / 0.85)),
+    ])
+    def test_finite_at_the_ends_of_the_double_range(self, n, k, theta0, expected):
+        got = log_mlr(BinomialOutcome(n, k, CONTINUOUS), PointHypothesis(theta0))
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_mirrored_data_tie_exactly(self):
+        for n, k in [(7, 2), (1001, 400), (10**7, 5000100)]:
+            assert log_mlr(BinomialOutcome(n, k), FAIR) == log_mlr(BinomialOutcome(n, n - k), FAIR)
+
 
 class TestLogSlr:
     H1 = PointHypothesis(0.25)

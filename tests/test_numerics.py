@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -10,7 +11,6 @@ from scipy import special
 from evlab.numerics import (
     ConvergenceError,
     InvalidBracketError,
-    RootBracket,
     find_root,
     linspace,
     log_beta,
@@ -170,23 +170,23 @@ class TestIncompleteBeta:
 
 class TestFindRoot:
     def test_linear(self):
-        root, _ = find_root(lambda x: x - 0.5, RootBracket(0.0, 1.0, tol=1e-10))
+        root, _ = find_root(lambda x: x - 0.5, 0.0, 1.0, tol=1e-10)
         assert root == pytest.approx(0.5, abs=1e-10)
 
     def test_sqrt_two(self):
-        root, _ = find_root(lambda x: x * x - 2.0, RootBracket(1.0, 2.0, tol=1e-10))
+        root, _ = find_root(lambda x: x * x - 2.0, 1.0, 2.0, tol=1e-10)
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-10)
 
     def test_asymmetric_bracket(self):
-        root, _ = find_root(lambda x: x, RootBracket(-1.0, 2.0, tol=1e-10))
+        root, _ = find_root(lambda x: x, -1.0, 2.0, tol=1e-10)
         assert root == pytest.approx(0.0, abs=1e-10)
 
     def test_invalid_bracket(self):
         with pytest.raises(InvalidBracketError):
-            find_root(lambda x: x * x + 1.0, RootBracket(-1.0, 1.0))
+            find_root(lambda x: x * x + 1.0, -1.0, 1.0)
         # a zero endpoint is not a strict sign change
         with pytest.raises(InvalidBracketError):
-            find_root(lambda x: x, RootBracket(0.0, 1.0))
+            find_root(lambda x: x, 0.0, 1.0)
 
     @settings(max_examples=300, deadline=None)
     @given(tol=st.floats(5e-324, 1.0), square=st.floats(0.01, 0.99))
@@ -195,7 +195,7 @@ class TestFindRoot:
     def test_every_positive_tol_gives_a_root(self, tol, square):
         # below the double spacing the bracket stops at adjacent doubles
         f = lambda x: x * x - square
-        root, width = find_root(f, RootBracket(0.0, 1.0, tol=tol))
+        root, width = find_root(f, 0.0, 1.0, tol=tol)
         step = max(tol, 2.0 * math.ulp(root))
         assert 0.0 < root < 1.0
         assert 0.0 <= width <= step  # the width reached, not the tol asked for
@@ -208,21 +208,34 @@ class TestFindRoot:
             calls.append(x)
             return x * x - 2.0
 
-        root, _ = find_root(f, RootBracket(1.0, 2.0, tol=1e-300))
+        root, _ = find_root(f, 1.0, 2.0, tol=1e-300)
         assert abs(root - math.sqrt(2.0)) <= math.ulp(root)
         assert len(calls) <= 2 + 53  # two ends, then one halving per bit
 
     def test_refinement_invariance(self):
         f = lambda x: math.cos(x) - x
-        coarse, _ = find_root(f, RootBracket(0.0, 1.0, tol=1e-9))
-        fine, _ = find_root(f, RootBracket(0.0, 1.0, tol=5e-10))
+        coarse, _ = find_root(f, 0.0, 1.0, tol=1e-9)
+        fine, _ = find_root(f, 0.0, 1.0, tol=5e-10)
         assert abs(coarse - fine) <= 1e-9
 
-    def test_bracket_validation(self):
-        with pytest.raises(ValueError):
-            RootBracket(1.0, 0.0)
-        with pytest.raises(ValueError):
-            RootBracket(0.0, 1.0, tol=0.0)
+    @pytest.mark.parametrize("lo, hi, tol, message", [
+        (1.0, 0.0, 1e-12, "bracket requires lo < hi, got [1.0, 0.0]"),
+        (0.0, 0.0, 1e-12, "bracket requires lo < hi, got [0.0, 0.0]"),
+        (0.0, 1.0, 0.0, "bracket tolerance must be positive, got 0.0"),
+        (0.0, 1.0, float("nan"), "bracket tolerance must be positive, got nan"),
+    ])
+    def test_bracket_validation(self, lo, hi, tol, message):
+        # a plain ValueError, checked before f is called: not a missing sign change
+        def f(x):
+            raise AssertionError("f called on a rejected bracket")
+
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+            find_root(f, lo, hi, tol)
+        assert type(info.value) is ValueError
+
+    def test_default_tol(self):
+        _, width = find_root(lambda x: x - 1.0 / 3.0, 0.0, 1.0)
+        assert 0.5e-12 < width <= 1e-12
 
 
 def test_linspace():

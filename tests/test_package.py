@@ -1,5 +1,6 @@
-"""What a cold start loads, and the lazy re-exports of the evlab package."""
+"""What a cold start loads, what evlab imports, and the lazy re-exports of the package."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -55,10 +56,25 @@ def test_cold_start_loads_neither_dataclasses_json_nor_scale():
 
 
 def test_every_export_resolves_lazily_to_its_home_object():
-    assert int(_fresh(LAZY_EXPORTS)) == len(evlab.__all__) == 60
+    assert int(_fresh(LAZY_EXPORTS)) == len(evlab.__all__) == 55
 
 
 def test_star_import_gives_every_export():
     namespace: dict = {}
     exec("from evlab import *", namespace)
     assert set(evlab.__all__) <= set(namespace)
+
+
+def test_imports_only_the_standard_library():
+    outside = []
+    for path in sorted((SRC / "evlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # relative imports stay inside evlab
+            outside += [(path.name, name) for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert not outside

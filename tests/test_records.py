@@ -1,4 +1,4 @@
-"""The result records are immutable NamedTuples; five of them validate their fields."""
+"""The result records are immutable NamedTuples; four of them validate their fields."""
 
 import math
 import re
@@ -7,7 +7,6 @@ import pytest
 
 from evlab.cli import OutputSpec
 from evlab.evidence import BinomialOutcome, CompositeHypothesis, EvidenceValue, PointHypothesis
-from evlab.numerics import RootBracket
 from evlab.scale import (
     AgreementConfig,
     DifferenceComparison,
@@ -18,11 +17,10 @@ from evlab.scale import (
 )
 from evlab.transition import (
     SHRINK_N,
-    CurveEntry,
     TrPResult,
     ZeroPathConfig,
     ZeroPathPoint,
-    shrink_n_config,
+    default_config,
     zero_path,
 )
 
@@ -34,17 +32,14 @@ SHRINK = zero_path(SHRINK_N)
 def _records():
     """One instance of every record type."""
     return [
-        RootBracket(0.0, 1.0),
         DATA,
         NULL,
         CompositeHypothesis(),
         EvidenceValue("pvalue", 0.34375, DATA, (NULL,)),
         TrPResult(10.0, 0.5, 0.0, 0.0),
-        CurveEntry(10.0, None, "no root"),
         ZeroPathPoint(1.0, 0.9, 0.1, 0.2),
-        SHRINK.endpoint_summary,
         SHRINK,
-        shrink_n_config(),
+        default_config(SHRINK_N),
         TransformationAudit(True, True, True),
         DiscordantPair(DATA, BinomialOutcome(10, 4), "neglogp", "abslogbf", (1, 2), (2, 1)),
         AgreementConfig(),
@@ -84,10 +79,6 @@ REJECTED = [
      "prior shapes must be positive and finite, got a=0.0, b=1.0"),
     (CompositeHypothesis, (), {"b": -2.0},
      "prior shapes must be positive and finite, got a=1.0, b=-2.0"),
-    (RootBracket, (1.0, 0.0), {}, "bracket requires lo < hi, got [1.0, 0.0]"),
-    (RootBracket, (0.0, 0.0), {}, "bracket requires lo < hi, got [0.0, 0.0]"),
-    (RootBracket, (0.0, 1.0), {"tol": 0.0}, "bracket tolerance must be positive, got 0.0"),
-    (RootBracket, (0.0, 1.0), {"tol": float("nan")}, "bracket tolerance must be positive, got nan"),
     (TrPResult, (10.0, 1.0, 0.0, 0.0), {}, "transition point must be in (0,1), got 1.0"),
     (TrPResult, (10.0, 0.0, 0.0, 0.0), {}, "transition point must be in (0,1), got 0.0"),
     (TrPResult, (10.0, 0.5, 1e-7, 0.0), {}, "root residual 1e-07 exceeds the limit 1e-08"),
@@ -117,7 +108,6 @@ REPLACED = [
     (PointHypothesis(0.5), {"theta0": 2.0}, "point hypothesis requires theta0 in (0,1), got 2.0"),
     (CompositeHypothesis(), {"a": -1.0},
      "prior shapes must be positive and finite, got a=-1.0, b=1.0"),
-    (RootBracket(0.0, 1.0), {"hi": -1.0}, "bracket requires lo < hi, got [0.0, -1.0]"),
     (TrPResult(10.0, 0.4, 0.0, 0.0), {"residual": 5e-4},
      "root residual 0.0005 exceeds the limit 1e-08"),
 ]
@@ -137,7 +127,6 @@ def test_make_and_replace_check_like_the_constructor(record, fields, message):
 def test_validating_records_keep_their_defaults_and_keywords():
     assert BinomialOutcome(n=10, k=3) == (10, 3, "exact")
     assert CompositeHypothesis() == ((0.0, 1.0), 1.0, 1.0)
-    assert RootBracket(lo=0.0, hi=1.0) == (0.0, 1.0, 1e-12)
     assert TrPResult(n=10.0, trp_y=0.5, residual=0.0, bracket_width=0.0).trp_y == 0.5
 
 
@@ -151,7 +140,7 @@ def test_records_behave_as_tuples():
 
 
 def test_zero_path_config_replace_keeps_other_fields():
-    config = shrink_n_config()
+    config = default_config(SHRINK_N)
     changed = config._replace(y_fixed=0.8, n_values=(2.0, 1.0))
     assert (changed.y_fixed, changed.n_values) == (0.8, (2.0, 1.0))
     assert changed.h1 == config.h1

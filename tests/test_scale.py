@@ -115,12 +115,28 @@ class TestClassifyTransformation:
            | st.builds(lambda s, c: lambda x: s * x + c,
                        st.floats(1e-3, 1e3), st.one_of(st.just(0.0), st.floats(-100.0, 100.0))))
     @example(size=64, lo=98.6, log_width=-6.0, f=fahrenheit_to_celsius)
+    @example(size=64, lo=1000.0, log_width=-11.0, f=lambda x: 0.01 * x)
     def test_positive_affine_maps_are_affine_at_any_width(self, size, lo, log_width, f):
+        # affine implies order preserving even where rounding leaves values flat
         hi = lo + 10.0 ** log_width
         assume(hi > lo and f(hi) != f(lo))
         grid = linspace(lo, hi, size)
         assume(all(b > a for a, b in zip(grid, grid[1:])))
-        assert classify_transformation(f, grid).affine
+        audit = classify_transformation(f, grid)
+        assert audit.affine and audit.order_preserving
+
+    # The chord's slope is known to about tol / width, so on a narrow interval
+    # far from 0 its intercept is known only to tol (1 + max|x| / width).
+    @settings(max_examples=200, deadline=None)
+    @given(size=GRID_SIZES, lo=st.floats(-1e3, 1e3), log_width=st.floats(-12.0, 3.0),
+           slope=st.floats(1e-3, 1e3))
+    @example(size=64, lo=500.0, log_width=-2.0, slope=0.7)
+    def test_zero_intercepts_are_positive_scalars_at_any_width(self, size, lo, log_width, slope):
+        hi = lo + 10.0 ** log_width
+        assume(hi > lo and slope * hi != slope * lo)
+        grid = linspace(lo, hi, size)
+        assume(all(b > a for a, b in zip(grid, grid[1:])))
+        assert classify_transformation(lambda x: slope * x, grid).positive_scalar
 
 
 class TestUnitDistortion:

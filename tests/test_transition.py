@@ -1,5 +1,7 @@
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from evlab.evidence import (
     log_slr,
     uniform_prior,
 )
-from evlab.numerics import RootBracket, find_root
+from evlab.numerics import find_root
 from evlab.transition import (
     RIDE_TRP,
     SHRINK_N,
@@ -20,11 +22,9 @@ from evlab.transition import (
     TrPResult,
     ZeroPathConfig,
     against_both,
-    ride_trp_config,
-    shrink_n_config,
+    default_config,
     trp_composite,
     trp_composite_two_sided,
-    trp_curve,
     trp_simple,
     zero_path,
 )
@@ -50,7 +50,7 @@ class TestTrpSimple:
     def test_matches_bisection_of_log_slr(self):
         h1, h2 = PointHypothesis(0.1), PointHypothesis(0.5)
         f = lambda y: log_slr(BinomialOutcome(1.0, y, CONTINUOUS), h1, h2)
-        numeric, _ = find_root(f, RootBracket(0.1, 0.5, tol=1e-12))
+        numeric, _ = find_root(f, 0.1, 0.5, tol=1e-12)
         assert trp_simple(0.1, 0.5) == pytest.approx(numeric, abs=1e-10)
         assert 0.1 < trp_simple(0.1, 0.5) < 0.5
 
@@ -112,6 +112,12 @@ class TestTrpComposite:
         with pytest.raises(ValueError):
             trp_composite(0.0, ONE_SIDED, FAIR)
 
+    @pytest.mark.parametrize("support", [(0.5, 0.5000015), (0.4999985, 0.5)])
+    def test_support_too_narrow_for_the_margin(self, support):
+        with pytest.raises(ValueError, match=re.escape(f"support {support} leaves no room")) as info:
+            trp_composite(10.0, uniform_prior(*support), FAIR)
+        assert "null 0.5" in str(info.value)
+
 
 class TestTrpCompositeTwoSided:
     def test_pair_brackets_the_null(self):
@@ -137,34 +143,13 @@ class TestTrpCompositeTwoSided:
         with pytest.raises(ValueError):
             trp_composite_two_sided(10.0, ONE_SIDED, FAIR)
 
+    def test_support_too_narrow_for_the_margin(self):
+        with pytest.raises(ValueError, match=re.escape("support (0.4999995, 1.0) leaves no room")):
+            trp_composite_two_sided(10.0, uniform_prior(0.4999995, 1.0), FAIR)
+
     def test_no_roots_for_tiny_n(self):
         with pytest.raises(NoSignChangeError):
             trp_composite_two_sided(1.0, uniform_prior(), FAIR)
-
-
-class TestTrpCurve:
-    def test_single_entry_matches_composite(self):
-        entries = trp_curve([10.0], ONE_SIDED, FAIR)
-        assert len(entries) == 1
-        assert entries[0].result == trp_composite(10.0, ONE_SIDED, FAIR)
-        assert entries[0].error is None
-
-    def test_monotone_sweep(self):
-        entries = trp_curve([100.0, 1000.0], ONE_SIDED, FAIR)
-        values = [e.result.trp_y for e in entries]
-        assert values[0] < values[1] < 0.5
-
-    def test_failures_marked_not_raised(self):
-        # a straddling support makes every solve fail; the sweep still completes
-        entries = trp_curve([1.0, 10.0], uniform_prior(0.0, 1.0), FAIR)
-        assert len(entries) == 2
-        assert all(e.result is None and e.error for e in entries)
-
-    def test_requires_increasing_n(self):
-        with pytest.raises(ValueError):
-            trp_curve([10.0, 10.0], ONE_SIDED, FAIR)
-        with pytest.raises(ValueError):
-            trp_curve([20.0, 10.0], ONE_SIDED, FAIR)
 
 
 class TestAgainstBoth:
@@ -190,6 +175,14 @@ class TestAgainstBoth:
             double = against_both(BinomialOutcome(2 * n, y * (2 * n), CONTINUOUS), 0.25, 0.75)
             assert abs(double - 2.0 * single) <= 1e-10 * max(1.0, abs(double))
 
+    def test_full_precision_near_a_hypothesis(self):
+        n, k = 10**7, 5000100
+        with mpmath.workdps(50):
+            expected = float(k * mpmath.log(mpmath.mpf(2 * k) / n)
+                             + (n - k) * mpmath.log(mpmath.mpf(2 * (n - k)) / n))
+        got = against_both(BinomialOutcome(n, k), 0.5, 0.75)
+        assert got == pytest.approx(expected, rel=1e-14)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             against_both(BinomialOutcome(0, 0), 0.25, 0.75)
@@ -209,7 +202,6 @@ class TestZeroPath:
         proxies = [p.against_both for p in report.trace]
         assert all(a2 < a1 for a1, a2 in zip(proxies, proxies[1:]))
         assert proxies[-1] < 0.01
-        assert report.endpoint_summary.final_log_bf == report.trace[-1].log_bf
 
     @settings(max_examples=200, deadline=None)
     @given(y=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), n0=st.floats(1.0, 1000.0))
@@ -217,7 +209,7 @@ class TestZeroPath:
         # Near n = 0, log BF is about n (2y ln 2 - 1) for the uniform prior on
         # [1/2, 1], and against_both is n times a divergence of at most ln(4/3).
         # Past n0 = 1000 the posterior mass underflows for small y (ROADMAP item 3).
-        config = shrink_n_config()._replace(
+        config = default_config(SHRINK_N)._replace(
             y_fixed=y, n_values=tuple(n0 / 2**j for j in range(41))
         )
         report = zero_path(SHRINK_N, config)
@@ -247,10 +239,10 @@ class TestZeroPath:
         # contradiction proxy to 0
         shrink = zero_path(SHRINK_N)
         ride = zero_path(RIDE_TRP)
-        assert abs(ride.endpoint_summary.final_log_bf) <= 1e-8
-        assert abs(shrink.endpoint_summary.final_log_bf) < 0.05
-        assert shrink.endpoint_summary.final_against_both < 0.01
-        assert ride.endpoint_summary.final_against_both > 100.0
+        assert abs(ride.trace[-1].log_bf) <= 1e-8
+        assert abs(shrink.trace[-1].log_bf) < 0.05
+        assert shrink.trace[-1].against_both < 0.01
+        assert ride.trace[-1].against_both > 100.0
 
     def test_single_row_trace(self):
         config = ZeroPathConfig(
@@ -258,11 +250,12 @@ class TestZeroPath:
         )
         report = zero_path(SHRINK_N, config)
         assert len(report.trace) == 1
-        assert report.endpoint_summary.final_log_bf == report.trace[0].log_bf
 
     def test_validation(self):
         with pytest.raises(ValueError):
             zero_path("sideways")
+        with pytest.raises(ValueError):
+            zero_path("sideways", default_config(SHRINK_N))
         with pytest.raises(ValueError):
             zero_path(SHRINK_N, ZeroPathConfig(h1=uniform_prior(), n_values=(1.0, 2.0)))
         with pytest.raises(ValueError):
@@ -276,7 +269,7 @@ class TestZeroPath:
             )
 
     def test_ride_trace_log_bf_is_root_residual(self):
-        config = ride_trp_config()
+        config = default_config(RIDE_TRP)
         report = zero_path(RIDE_TRP, config)
         for point in report.trace:
             recomputed = log_bf(
@@ -287,11 +280,13 @@ class TestZeroPath:
             assert point.log_bf == recomputed
 
     def test_default_configs(self):
-        shrink = shrink_n_config()
+        shrink = default_config(SHRINK_N)
         assert shrink.h1.support == (0.5, 1.0)
         assert shrink.y_fixed == 0.9
-        ride = ride_trp_config()
+        ride = default_config(RIDE_TRP)
         assert ride.h1.support == (0.0, 0.5)
+        with pytest.raises(ValueError, match="path kind must be one of"):
+            default_config("sideways")
 
 
 class TestTrPResultInvariants:
