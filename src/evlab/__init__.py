@@ -25,7 +25,7 @@ _HOMES = {
         "DegeneratePriorError",
     ), "evidence"),
     **dict.fromkeys((
-        "log_gamma", "log_beta", "log_binomial_coeff", "regularized_incomplete_beta",
+        "log_gamma", "log_beta", "regularized_incomplete_beta",
         "find_root", "InvalidBracketError", "ConvergenceError",
     ), "numerics"),
     **dict.fromkeys((

@@ -9,12 +9,17 @@ handled by the command-line layer.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from typing import NamedTuple, Union
 
-from .numerics import log_beta, log_binomial_coeff, regularized_incomplete_beta
+from .numerics import (
+    _bd0,
+    _log1mexp,
+    _log_beta_front,
+    _xlogy,
+    regularized_incomplete_beta,
+)
 
 EXACT = "exact"
 CONTINUOUS = "continuous"
@@ -47,7 +52,8 @@ class UnsupportedNullError(ValueError):
 
 
 class DegeneratePriorError(ValueError):
-    """A composite prior whose mass on its support underflows to zero."""
+    """A composite prior or posterior whose mass on its support is zero to
+    double precision: the logs of I_U and I_L round to the same double."""
 
 
 class _BinomialOutcome(NamedTuple):
@@ -152,31 +158,24 @@ class EvidenceValue(NamedTuple):
     hypotheses: tuple[Hypothesis, ...]
 
 
-def _xlogy(x: float, y: float) -> float:
-    """x * ln(y) with the 0 * ln(0) = 0 convention."""
-    if x == 0.0:
-        return 0.0
-    return x * math.log(y)
-
-
 def binomial_log_pmf(data: BinomialOutcome, theta: float) -> float:
     """Log of the binomial mass C(n,k) theta^k (1-theta)^(n-k).
 
     theta must lie strictly inside (0, 1). Valid for real n, k in
-    continuous mode through the gamma-extended binomial coefficient.
+    continuous mode. Taken in Loader's deviance form, stirlerr(n) -
+    (stirlerr(k) + stirlerr(n-k)) - (bd0(k, n theta) + bd0(n-k, n (1-theta)))
+    + 1/2 ln(n / (2 pi k (n-k))), so it keeps its digits at large n; at k = 0
+    and k = n it is n ln(1-theta) and n ln(theta).
     """
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must be in (0,1), got {theta}")
-    return (
-        log_binomial_coeff(data.n, data.k)
-        + _xlogy(data.k, theta)
-        + _xlogy(data.n - data.k, 1.0 - theta)
-    )
-
-
-def _point_log_lik(data: BinomialOutcome, theta: float) -> float:
-    """Log-likelihood kernel k ln(theta) + (n-k) ln(1-theta), no binomial coefficient."""
-    return _xlogy(data.k, theta) + _xlogy(data.n - data.k, 1.0 - theta)
+    n, k = data.n, data.k
+    if k == n:
+        return _xlogy(n, theta)
+    if k == 0:
+        return n * math.log1p(-theta)
+    # the beta front at theta with shapes k and n - k is k (n-k) / n times the mass
+    return _log_beta_front(theta, k, n - k) - ((math.log(k) + math.log(n - k)) - math.log(n))
 
 
 def _two_sided_count(data: BinomialOutcome, null: PointHypothesis) -> tuple[int, int]:
@@ -230,29 +229,6 @@ def neg_log_p(data: BinomialOutcome, null: PointHypothesis) -> float:
     return -math.log(p)
 
 
-def _bd0(x: float, n: float, p: float) -> float:
-    """x ln(x/m) + m - x at m = n p, the deviance term of Loader (2000), for
-    x >= 0, n > 0 and p in (0, 1).
-
-    Near x = m the two parts cancel, so there the value is summed instead as
-    (x-m)^2/(x+m) + 2x sum_j v^(2j+1)/(2j+1), v = (x-m)/(x+m), whose terms
-    all have one sign. It is exactly 0.0 when x equals m. No part
-    overflows before the value does: the series runs only where x + m is
-    finite and forms 2vx with |2v| < 1, and elsewhere m - x is added last.
-    x/m is taken as x/n/p, which stays finite where n p underflows to 0.
-    """
-    m = n * p
-    if abs(x - m) < 0.1 * (x + m) < math.inf:
-        v = (x - m) / (x + m)
-        s, term = (x - m) * v, 2.0 * v * x
-        for j in itertools.count(3, 2):
-            term *= v * v
-            if (grown := s + term / j) == s:
-                return s
-            s = grown
-    return _xlogy(x, x / n / p) + (m - x)
-
-
 def log_mlr(data: BinomialOutcome, null: PointHypothesis) -> float:
     """Log maximum likelihood ratio of the unrestricted model against a point null.
 
@@ -279,21 +255,25 @@ def log_slr(data: BinomialOutcome, h1: PointHypothesis, h2: PointHypothesis) -> 
 
 
 def _log_truncated_beta_mass(a: float, b: float, lo: float, hi: float) -> float:
-    """ln of integral of t^(a-1) (1-t)^(b-1) over [lo, hi].
+    """ln(I_hi(a, b) - I_lo(a, b)), the Beta(a, b) probability of [lo, hi].
 
-    An interval above the mean a/(a+b) is measured in the mirrored upper
-    tail, I_{1-lo}(b, a) - I_{1-hi}(b, a), where 1 - I_lo(a, b) would cancel.
+    Taken from the logs of the two ends as lu + ln(1 - exp(ll - lu)), so it
+    stays finite where the probability underflows. An interval above the
+    mean a/(a+b) is measured in the mirrored upper tail, I_{1-lo}(b, a) -
+    I_{1-hi}(b, a), where 1 - I_lo(a, b) would cancel. DegeneratePriorError
+    where the two ends' logs round to the same double.
     """
     if lo > a / (a + b):
-        delta = (regularized_incomplete_beta(1.0 - lo, b, a)
-                 - regularized_incomplete_beta(1.0 - hi, b, a))
+        upper = regularized_incomplete_beta(1.0 - lo, b, a, log=True)
+        lower = regularized_incomplete_beta(1.0 - hi, b, a, log=True)
     else:
-        delta = regularized_incomplete_beta(hi, a, b) - regularized_incomplete_beta(lo, a, b)
-    if delta <= 0.0:
+        upper = regularized_incomplete_beta(hi, a, b, log=True)
+        lower = regularized_incomplete_beta(lo, a, b, log=True)
+    if not lower < upper:
         raise DegeneratePriorError(
-            f"Beta({a}, {b}) mass on [{lo}, {hi}] underflows to zero"
+            f"Beta({a}, {b}) mass on [{lo}, {hi}] is zero to double precision"
         )
-    return log_beta(a, b) + math.log(delta)
+    return upper + _log1mexp(lower - upper)
 
 
 # The exact path's cost grows with its integers' size: at this budget (n <= 511
@@ -333,6 +313,9 @@ def log_bf(data: BinomialOutcome, h1: Hypothesis, h2: PointHypothesis) -> float:
         B(a, b)       * [I_U(a, b)       - I_L(a, b)]
 
     (binomial coefficients cancel against the denominator likelihood).
+    It is taken as the ratio of the truncated prior and posterior densities
+    at theta0, each a deviance-form front over its mass ln(I_U - I_L), so
+    the value stays finite where either mass underflows a double.
     When h1 is itself a point hypothesis there are no free parameters to
     average over and the Bayes factor reduces to the simple likelihood
     ratio, so this dispatches to log_slr.
@@ -341,18 +324,22 @@ def log_bf(data: BinomialOutcome, h1: Hypothesis, h2: PointHypothesis) -> float:
         return log_slr(data, h1, h2)
     if (exact := _exact_log_bf(data, h1, h2.theta0)) is not None:
         return exact
-    lo, hi = h1.support
-    log_prior_mass = _log_truncated_beta_mass(h1.a, h1.b, lo, hi)
-    post_a = data.k + h1.a
-    post_b = data.n - data.k + h1.b
+    (lo, hi), a, b = h1
+    post_a, post_b = data.k + a, data.n - data.k + b
+    log_prior_mass = _log_truncated_beta_mass(a, b, lo, hi)
     try:
         log_post_mass = _log_truncated_beta_mass(post_a, post_b, lo, hi)
     except DegeneratePriorError as err:
         raise DegeneratePriorError(
-            f"posterior mass underflows for n={data.n}, k={data.k} on support [{lo}, {hi}]"
+            f"posterior mass is zero to double precision for n={data.n}, k={data.k} "
+            f"on support [{lo}, {hi}]"
         ) from err
-    log_marginal = log_post_mass - log_prior_mass
-    return log_marginal - _point_log_lik(data, h2.theta0)
+    # The density at theta0 of the truncated prior over that of the truncated
+    # posterior: B(k+a, n-k+b) / (theta0^k (1-theta0)^(n-k)) enters as one
+    # deviance-form front, so no term of size n ln 2 is rounded.
+    theta0 = h2.theta0
+    return ((_log_beta_front(theta0, a, b) - log_prior_mass)
+            - (_log_beta_front(theta0, post_a, post_b) - log_post_mass))
 
 
 def abs_log_bf(data: BinomialOutcome, h1: Hypothesis, h2: PointHypothesis) -> float:

@@ -63,15 +63,17 @@ class TransformationAudit(NamedTuple):
 
 
 def classify_transformation(f: Callable[[float], float], grid: Sequence[float]) -> TransformationAudit:
-    """Audit f on the grid as given, evaluating it once per point.
+    """Audit f on the grid as given, evaluating it once per point (and at 0
+    for an affine f).
 
     f is affine when no value lies farther from the chord through the two
     end values than AFFINE_TOL times the range of the values, a test that
     does not depend on the number or spacing of the points, or than the
-    rounding of the values and the chord, whichever is larger. The
-    intercept of that chord must also be within it, widened by how far 0
-    lies from the grid, for a positive scalar. An affine f counts as order
-    preserving even where rounding leaves its values flat.
+    rounding of the values and the chord, whichever is larger. A positive
+    scalar is an affine f with |f(0)| within that tolerance; where f(0) is
+    undefined, the chord's intercept must be within it, widened by how far
+    0 lies from the grid. An affine f counts as order preserving even where
+    rounding leaves its values flat.
     """
     pts = [float(x) for x in grid]
     if len(pts) < 4:
@@ -88,14 +90,27 @@ def classify_transformation(f: Callable[[float], float], grid: Sequence[float]) 
     tol = max(AFFINE_TOL * (max(vals) - min(vals)), rounding)
     off_chord = max(abs(v - (v0 + slope * (x - x0))) for x, v in zip(pts, vals))
     affine = off_chord <= tol and slope > 0.0
-    # The slope is known to about tol / width, so the chord's value at 0,
-    # max|x| away from the grid, is known to tol (1 + max|x| / width).
-    reach = 1.0 + max(abs(x0), abs(pts[-1])) / (pts[-1] - x0)
     return TransformationAudit(
         order_preserving=affine or all(b > a for a, b in zip(vals, vals[1:])),
         affine=affine,
-        positive_scalar=affine and abs(v0 - slope * x0) <= tol * reach,
+        positive_scalar=affine and _zero_intercept(f, pts, v0, slope, tol),
     )
+
+
+def _zero_intercept(f: Callable[[float], float], pts: list[float], v0: float,
+                    slope: float, tol: float) -> bool:
+    """Whether affine f has intercept 0: |f(0)| <= tol where 0 is in f's domain.
+
+    Elsewhere the chord's intercept is tested instead. Its slope is known to
+    about tol / width, so its value at 0, max|x| away from the grid, is known
+    only to tol (1 + max|x| / width); a narrow grid far from 0 cannot tell a
+    small intercept from none.
+    """
+    try:
+        return abs(f(0.0)) <= tol
+    except (ValueError, ZeroDivisionError, OverflowError):
+        x0, x1 = pts[0], pts[-1]
+        return abs(v0 - slope * x0) <= tol * (1.0 + max(abs(x0), abs(x1)) / (x1 - x0))
 
 
 def unit_distortion(f: Callable[[float], float], interval: tuple[float, float], unit: float) -> float:

@@ -5,7 +5,8 @@ coefficients come from the additive Pascal recurrence rather than any
 gamma function, p-values from exact rational summation, marginal
 likelihoods from adaptive quadrature rather than the closed beta form, the
 exact order of the ratio statistics from rationals built on factorials
-rather than binomial coefficients, and Kendall tau-b from a sign for every
+rather than binomial coefficients, incomplete betas from binomial tail
+sums, and Kendall tau-b from a sign for every
 pair rather than a merge sort.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath
 from scipy import integrate
 from scipy.optimize import bisect
 
@@ -37,6 +39,26 @@ def p_value_fraction(n: int, k: int) -> Fraction:
 def beta_fraction(x: int, y: int) -> Fraction:
     """The Beta integral B(x, y) = (x-1)! (y-1)! / (x+y-1)! for integers x, y >= 1."""
     return Fraction(math.factorial(x - 1) * math.factorial(y - 1), math.factorial(x + y - 1))
+
+
+def incomplete_beta_fraction(x: float, a: int, b: int) -> Fraction:
+    """I_x(a, b) for integer shapes as P(Bin(a+b-1, x) >= a), summed exactly
+    (a double x is a rational)."""
+    t, q = x.as_integer_ratio()
+    m = a + b - 1
+
+    def mass(js: range) -> int:
+        return sum(math.comb(m, j) * t**j * (q - t) ** (m - j) for j in js)
+
+    if a <= b:  # the shorter sum, below a
+        return 1 - Fraction(mass(range(a)), q**m)
+    return Fraction(mass(range(a, m + 1)), q**m)
+
+
+def log_fraction(value: Fraction) -> float:
+    """ln of a positive rational at 60 digits, so it never underflows."""
+    with mpmath.workdps(60):
+        return float(mpmath.log(mpmath.mpf(value.numerator) / value.denominator))
 
 
 def bf_fraction(n: int, k: int, theta0: float, a: int = 1, b: int = 1) -> Fraction:

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from evlab.cli import build_parser, main
 from evlab.evidence import LOG_SCALE_KINDS
+from evlab.transition import RESIDUAL_LIMIT
 
 from test_readme import _examples as readme_examples
 
@@ -167,16 +168,22 @@ class TestCompute:
         assert status == 1
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv, x", [
-        (["compute", "--n", "1e306", "--k", "0", "--mode", "continuous", "--bf", "uniform",
-          "--kinds", "logbf"], "1e+306"),
-        (["figure1", "b", "--n", "1e306", "--grid", "5"], "9.9e+305"),
-    ])
-    def test_log_gamma_overflow_names_the_input(self, capsys, argv, x):
-        assert main(argv) == 1
+    def test_huge_n_log_bf_is_finite(self, capsys):
+        # the deviance form takes no log-gamma: ln BF = n ln 2 - ln(n + 1)
+        status, out = run_cli(capsys, "compute", "--n", "1e306", "--k", "0", "--mode",
+                              "continuous", "--bf", "uniform", "--kinds", "logbf")
+        assert status == 0
+        assert out == "kind,n,k,value\nlogbf,1e+306,0,6.9314718056e+305\n"
+
+    def test_huge_n_names_the_shapes_the_fraction_cannot_take(self, capsys):
+        # past shapes of about 1e154 the continued fraction's products overflow;
+        # it stops at its iteration bound and names the inputs
+        assert main(["figure1", "b", "--n", "1e306", "--grid", "5"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"evlab: error: log_gamma overflows a double at x={x}\n"
+        assert captured.err == (
+            "evlab: error: incomplete beta continued fraction did not converge for "
+            "a=9.9e+305, b=1.0000000000000001e+304, x=0.5 within 1048576 iterations\n")
 
 
 class TestFigure1:
@@ -212,6 +219,16 @@ class TestFigure1:
         assert len(markers) == 2
         assert markers[0] == pytest.approx(GOLDEN_TRP_N10, abs=1e-9)
         assert markers[0] < markers[1] < 0.5
+
+    @pytest.mark.parametrize("n, grid", [("1500", "50"), ("2000", "99"), ("100000", "200")])
+    def test_variant_b_where_the_posterior_mass_underflows(self, capsys, n, grid):
+        # from n = 1166 the posterior mass on [0, 1/2] at y = 0.99 is below the
+        # smallest double; its log is not
+        status, out = run_cli(capsys, "figure1", "b", "--n", n, "--grid", grid)
+        assert status == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == int(grid) + 1
+        assert all(math.isfinite(float(r["log_es"])) for r in rows)
 
 
 class TestTrp:
@@ -274,6 +291,19 @@ class TestTrp:
         _, rows = parse_csv(out)
         assert rows[0]["error"] == ""
         assert 0.49 < float(rows[0]["trp_y"]) < 0.5
+
+    @pytest.mark.parametrize("flags", [
+        ["--n", "10000000"],
+        ["--setup", "two-sided", "--support", "0.1,0.9", "--n", "10000000"],
+    ])
+    def test_roots_at_ten_million_trials(self, capsys, flags):
+        # log BF near these roots is right to about 1e-15, so the root
+        # residual is that of bisection alone, under RESIDUAL_LIMIT
+        status, out = run_cli(capsys, "trp", *flags)
+        assert status == 0
+        _, rows = parse_csv(out)
+        assert rows and all(r["error"] == "" for r in rows)
+        assert all(float(r["residual"]) <= RESIDUAL_LIMIT for r in rows)
 
     @pytest.mark.parametrize("command", [["figure1", "b"], ["trp"], ["zero-paths", "ride-trp"]])
     @pytest.mark.parametrize("tol", ["0", "-1e-12", "nan"])
@@ -350,6 +380,13 @@ class TestZeroPaths:
         magnitudes = [abs(float(r["log_bf"])) for r in rows]
         assert all(m2 < m1 for m1, m2 in zip(magnitudes, magnitudes[1:]))
         assert magnitudes[-1] < 0.05
+
+    def test_ride_trp_to_ten_million_trials(self, capsys):
+        status, out = run_cli(capsys, "zero-paths", "ride-trp", "--n", "1000000,10000000")
+        assert status == 0
+        _, rows = parse_csv(out)
+        assert [float(r["n"]) for r in rows] == [1e6, 1e7]
+        assert all(abs(float(r["log_bf"])) <= RESIDUAL_LIMIT for r in rows)
 
     def test_ride_trp_single_row(self, capsys):
         status, out = run_cli(capsys, "zero-paths", "ride-trp", "--n", "10")
@@ -492,6 +529,11 @@ class TestAudit:
         (["--f", "affine:0.7,1", "--interval", "500,500.01", "--unit", "0.001"],
          ("true", "true", "false")),
         (["--f", "f2c", "--interval", "500,500.01", "--unit", "0.001"],
+         ("true", "true", "false")),
+        # a grid too narrow to resolve the chord's intercept: f(0) decides
+        (["--f", "affine:0.01,1", "--interval", "1000,1000.00000000001", "--unit", "1e-12"],
+         ("true", "true", "false")),
+        (["--f", "f2c", "--interval", "1000,1000.00000000001", "--unit", "1e-12"],
          ("true", "true", "false")),
     ])
     def test_transform_verdicts_nest_far_from_zero(self, capsys, flags, verdicts):

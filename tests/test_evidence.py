@@ -33,7 +33,10 @@ from evlab.evidence import (
 from evlab.scale import AgreementConfig, outcome_grid
 
 from _oracles import (
+    beta_fraction,
     bf_fraction,
+    incomplete_beta_fraction,
+    log_fraction,
     mlr_fraction,
     p_value_fraction,
     pascal_row,
@@ -101,9 +104,11 @@ class TestHypotheses:
     def test_prior_normalizes_to_one(self, hypothesis):
         # the truncated, renormalized prior density integrates to 1
         from evlab.evidence import _log_truncated_beta_mass
+        from evlab.numerics import log_beta
 
         lo, hi = hypothesis.support
-        log_mass = _log_truncated_beta_mass(hypothesis.a, hypothesis.b, lo, hi)
+        log_mass = log_beta(hypothesis.a, hypothesis.b) + _log_truncated_beta_mass(
+            hypothesis.a, hypothesis.b, lo, hi)
 
         def density(t):
             return math.exp(
@@ -138,6 +143,50 @@ class TestBinomialLogPmf:
             binomial_log_pmf(BinomialOutcome(2, 1), 0.0)
         with pytest.raises(ValueError):
             binomial_log_pmf(BinomialOutcome(2, 1), 1.0)
+
+    def test_edges_are_the_point_likelihood(self):
+        # the coefficient is 1 at k = 0 and k = n
+        assert binomial_log_pmf(BinomialOutcome(10, 0), 0.3) == 10 * math.log1p(-0.3)
+        assert binomial_log_pmf(BinomialOutcome(10, 10), 0.3) == 10 * math.log(0.3)
+        assert binomial_log_pmf(BinomialOutcome(0, 0), 0.3) == 0.0
+
+    def test_small_values(self):
+        assert math.isclose(binomial_log_pmf(BinomialOutcome(4, 2), 0.5), math.log(6 / 16),
+                            rel_tol=1e-12)
+        assert math.isclose(binomial_log_pmf(BinomialOutcome(10, 5), 0.5),
+                            math.log(252 / 1024), rel_tol=1e-12)
+
+    def test_matches_pascal_triangle(self):
+        for n in range(0, 61):
+            for k, exact in enumerate(pascal_row(n)):
+                got = binomial_log_pmf(BinomialOutcome(n, k), 0.5)
+                assert math.isclose(got, math.log(exact) - n * math.log(2.0),
+                                    rel_tol=1e-13, abs_tol=1e-14), (n, k)
+
+    @pytest.mark.parametrize("n, k, theta", [
+        (7.5, 2.25, 0.3), (0.3, 0.12, 0.5), (1e7, 4_999_000.5, 0.5), (1e7, 3.5, 1e-6),
+        (2e6, 1_999_990.0, 0.999),
+    ])
+    def test_real_arguments(self, n, k, theta):
+        # the gamma-extended mass, against 50-digit mpmath
+        with mpmath.workdps(50):
+            n_, k_, t = mpmath.mpf(n), mpmath.mpf(k), mpmath.mpf(theta)
+            expected = (mpmath.loggamma(n_ + 1) - mpmath.loggamma(k_ + 1)
+                        - mpmath.loggamma(n_ - k_ + 1) + k_ * mpmath.log(t)
+                        + (n_ - k_) * mpmath.log(1 - t))
+        got = binomial_log_pmf(BinomialOutcome(n, k, CONTINUOUS), theta)
+        assert got == pytest.approx(float(expected), rel=1e-13, abs=1e-13)
+
+    def test_mirrored_data_tie_exactly(self):
+        for n, k in ((10, 3), (10**7, 4_999_000), (12345, 1)):
+            assert (binomial_log_pmf(BinomialOutcome(n, k), 0.5)
+                    == binomial_log_pmf(BinomialOutcome(n, n - k), 0.5))
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            binomial_log_pmf(BinomialOutcome(5.0, -0.5, CONTINUOUS), 0.5)
+        with pytest.raises(ValueError):
+            binomial_log_pmf(BinomialOutcome(5.0, 5.5, CONTINUOUS), 0.5)
 
 
 class TestPValue:
@@ -352,16 +401,35 @@ class TestLogBf:
         data = BinomialOutcome(9, 2)
         assert log_bf(data, h1, h2) == log_slr(data, h1, h2)
 
-    def test_degenerate_prior_raises(self):
-        h1 = CompositeHypothesis(support=(0.0, 1e-6), a=200.0, b=200.0)
-        with pytest.raises(DegeneratePriorError):
-            log_bf(BinomialOutcome(2, 1), h1, FAIR)
+    def test_far_tail_prior_mass_is_finite(self):
+        # Beta(200, 200) on [0, 1e-6] has mass about e^-2490; in log space it is
+        # finite, and log BF at (2, 1) is the exact rational's log
+        from evlab.evidence import _log_truncated_beta_mass
 
-    def test_posterior_underflow_raises(self):
-        h1 = uniform_prior(0.0, 0.5)
+        x = 1e-6
+        prior = incomplete_beta_fraction(x, 200, 200)
+        assert _log_truncated_beta_mass(200.0, 200.0, 0.0, x) == pytest.approx(
+            log_fraction(prior), rel=1e-13)
+        posterior = incomplete_beta_fraction(x, 201, 201)
+        bf = (beta_fraction(201, 201) * posterior) / (beta_fraction(200, 200) * prior) * 4
+        h1 = CompositeHypothesis(support=(0.0, x), a=200.0, b=200.0)
+        assert log_bf(BinomialOutcome(2, 1), h1, FAIR) == pytest.approx(
+            log_fraction(bf), rel=1e-13)
+
+    def test_far_tail_posterior_mass_is_finite(self):
+        # the posterior Beta(4951, 51) has mass about e^-3189 on [0, 1/2]
         data = BinomialOutcome(5000.0, 4950.0, CONTINUOUS)
-        with pytest.raises(DegeneratePriorError):
-            log_bf(data, h1, FAIR)
+        posterior = incomplete_beta_fraction(0.5, 4951, 51)
+        bf = beta_fraction(4951, 51) * posterior / Fraction(1, 2) * 2**5000
+        assert log_bf(data, uniform_prior(0.0, 0.5), FAIR) == pytest.approx(
+            log_fraction(bf), rel=1e-13)
+
+    def test_mass_below_double_resolution_raises(self):
+        # a support one double wide at 0.3, where ln I_U and ln I_L round equal
+        lo = 0.3
+        h1 = uniform_prior(lo, math.nextafter(lo, 1.0))
+        with pytest.raises(DegeneratePriorError, match="zero to double precision"):
+            log_bf(BinomialOutcome(2, 1), h1, FAIR)
 
 
 class TestExactLogBf:

@@ -14,13 +14,13 @@ from evlab.numerics import (
     find_root,
     linspace,
     log_beta,
-    log_binomial_coeff,
     log_gamma,
     regularized_incomplete_beta,
     _beta_continued_fraction,
+    _stirlerr,
 )
 
-from _oracles import pascal_row
+from _oracles import incomplete_beta_fraction, log_fraction
 
 
 class TestLogGamma:
@@ -82,33 +82,17 @@ class TestLogBeta:
             log_beta(1.0, -2.0)
 
 
-class TestLogBinomialCoeff:
-    def test_edge_is_one(self):
-        assert abs(log_binomial_coeff(10.0, 0.0)) < 1e-12
-        assert abs(log_binomial_coeff(10.0, 10.0)) < 1e-12
-
-    def test_small_values(self):
-        assert math.isclose(log_binomial_coeff(4, 2), math.log(6.0), rel_tol=1e-12)
-        assert math.isclose(log_binomial_coeff(10, 5), math.log(252.0), rel_tol=1e-12)
-
-    def test_matches_pascal_triangle(self):
-        for n in range(0, 61):
-            row = pascal_row(n)
-            for k, exact in enumerate(row):
-                got = math.exp(log_binomial_coeff(float(n), float(k)))
-                assert math.isclose(got, float(exact), rel_tol=1e-10), (n, k)
-
-    def test_real_arguments(self):
-        # consistency with the gamma definition for non-integer inputs
-        n, k = 7.5, 2.25
-        expected = log_gamma(n + 1) - log_gamma(k + 1) - log_gamma(n - k + 1)
-        assert log_binomial_coeff(n, k) == expected
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            log_binomial_coeff(5.0, -0.5)
-        with pytest.raises(ValueError):
-            log_binomial_coeff(5.0, 5.5)
+class TestStirlerr:
+    @pytest.mark.parametrize("n", [0.5, 1.0, 7.5, 15.0, 0.01, 2.3, 14.99, 15.01, 20.0,
+                                   35.5, 36.0, 80.5, 81.0, 500.0, 501.0, 1e4, 1e7, 1e20])
+    def test_matches_mpmath(self, n):
+        # Loader's table at half-integers, his series past 15, and log-gamma between
+        # half-integers up to 15, where rounding near ln 16! leaves about 3e-15
+        with mpmath.workdps(80):
+            x = mpmath.mpf(n)
+            expected = mpmath.loggamma(x + 1) - (x + 0.5) * mpmath.log(x) + x - mpmath.log(
+                mpmath.sqrt(2 * mpmath.pi))
+        assert _stirlerr(n) == pytest.approx(float(expected), rel=1e-13, abs=5e-15)
 
 
 class TestIncompleteBeta:
@@ -148,10 +132,38 @@ class TestIncompleteBeta:
     @pytest.mark.parametrize("half", [5e5, 5e6])
     def test_large_shapes_converge(self, half):
         # near x = a/(a+b) these need more than 300 continued-fraction iterations;
-        # the accuracy is set by the log-beta prefactor, which loses digits here
+        # the deviance-form prefactor keeps every digit the fraction has
         assert regularized_incomplete_beta(0.5, half + 2.0, half) == pytest.approx(
-            float(special.betainc(half + 2.0, half, 0.5)), abs=1e-7
+            float(special.betainc(half + 2.0, half, 0.5)), abs=1e-12
         )
+
+    def test_log_ends(self):
+        assert regularized_incomplete_beta(0.0, 2.3, 4.5, log=True) == -math.inf
+        assert regularized_incomplete_beta(1.0, 2.3, 4.5, log=True) == 0.0
+
+    def test_log_matches_scipy(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            a = float(rng.uniform(0.1, 50.0))
+            b = float(rng.uniform(0.1, 50.0))
+            x = float(rng.uniform(1e-6, 1.0 - 1e-6))
+            got = regularized_incomplete_beta(x, a, b, log=True)
+            assert got == pytest.approx(math.log(special.betainc(a, b, x)), rel=1e-12,
+                                        abs=1e-14), (x, a, b)
+
+    @pytest.mark.parametrize("x, a, b", [
+        (0.5, 1000, 1), (0.5, 4951, 51), (1e-6, 200, 200), (0.25, 2000, 1000), (0.3, 1, 1),
+        (2.0**-10, 5, 2000),
+    ])
+    def test_log_matches_the_binomial_tail_sum(self, x, a, b):
+        # I_x(a, b) = P(Bin(a+b-1, x) >= a) for integer shapes, summed exactly; the
+        # second to fourth values (about e^-3189, e^-2490, e^-1156) underflow a
+        # double, their logs do not
+        expected = log_fraction(incomplete_beta_fraction(x, a, b))
+        got = regularized_incomplete_beta(x, float(a), float(b), log=True)
+        assert got == pytest.approx(expected, rel=1e-13)
+        assert regularized_incomplete_beta(x, float(a), float(b)) == pytest.approx(
+            math.exp(expected), rel=1e-12)
 
     def test_iteration_cap_is_reported(self):
         # far above the mean a/(a+b) the raw continued fraction does not converge;

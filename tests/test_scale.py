@@ -138,6 +138,34 @@ class TestClassifyTransformation:
         assume(all(b > a for a, b in zip(grid, grid[1:])))
         assert classify_transformation(lambda x: slope * x, grid).positive_scalar
 
+    # Where f(0) is defined it decides, however narrow the grid: the chord
+    # alone cannot tell an intercept of 0.1 from 0 on 1000..1000 + 1e-11. The
+    # tolerance is at most 1e-9 of a value range of 1e6 here, below 0.01.
+    @settings(max_examples=100, deadline=None)
+    @given(size=GRID_SIZES, lo=st.floats(-1e3, 1e3), log_width=st.floats(-12.0, 3.0),
+           slope=st.floats(1e-3, 1e3), intercept=st.floats(0.01, 100.0),
+           sign=st.sampled_from([-1, 1]))
+    @example(size=64, lo=1000.0, log_width=-11.0, slope=0.01, intercept=1.0, sign=1)
+    @example(size=64, lo=1000.0, log_width=-11.0, slope=0.01, intercept=0.1, sign=1)
+    def test_nonzero_intercepts_are_not_positive_scalars_at_any_width(
+            self, size, lo, log_width, slope, intercept, sign):
+        hi = lo + 10.0 ** log_width
+        assume(hi > lo)
+        grid = linspace(lo, hi, size)
+        assume(all(b > a for a, b in zip(grid, grid[1:])))
+        assert not classify_transformation(lambda x: slope * x + sign * intercept,
+                                           grid).positive_scalar
+
+    def test_chord_decides_where_f_is_undefined_at_zero(self):
+        def scaled(x):
+            if x <= 0.0:
+                raise ValueError("math domain error")
+            return 3.0 * x
+
+        assert classify_transformation(scaled, linspace(1.0, 2.0, 16)).positive_scalar
+        assert not classify_transformation(lambda x: scaled(x) + 1.0,
+                                           linspace(1.0, 2.0, 16)).positive_scalar
+
 
 class TestUnitDistortion:
     def test_affine_is_one(self):

@@ -4,11 +4,13 @@ import re
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy import special
 
 from evlab.evidence import (
     CONTINUOUS,
     BinomialOutcome,
+    CompositeHypothesis,
     PointHypothesis,
     log_bf,
     log_slr,
@@ -16,6 +18,7 @@ from evlab.evidence import (
 )
 from evlab.numerics import find_root
 from evlab.transition import (
+    RESIDUAL_LIMIT,
     RIDE_TRP,
     SHRINK_N,
     NoSignChangeError,
@@ -99,6 +102,24 @@ class TestTrpComposite:
             assert result.trp_y < 0.5
             assert result.residual < 1e-8
             previous = result.trp_y
+
+    @pytest.mark.parametrize("support", [(0.0, 0.5), (0.1, 0.9)])
+    def test_log_bf_at_the_roots_for_ten_million_trials(self, support):
+        # against scipy's masses and a 50-digit ln B(k+1, n-k+1) + n ln 2
+        n, h1 = 1e7, uniform_prior(*support)
+        if support[0] == 0.0:
+            roots = [trp_composite(n, h1, FAIR)]
+        else:
+            roots = list(trp_composite_two_sided(n, h1, FAIR))
+        for root in roots:
+            k = root.trp_y * n
+            a, b = k + 1.0, n - k + 1.0
+            with mpmath.workdps(50):
+                point = float(mpmath.log(mpmath.beta(a, b)) + n * mpmath.log(2))
+            mass = special.betainc(a, b, support[1]) - special.betainc(a, b, support[0])
+            expected = point + math.log(mass) - math.log(support[1] - support[0])
+            got = log_bf(BinomialOutcome(n, k, CONTINUOUS), h1, FAIR)
+            assert got == pytest.approx(expected, abs=1e-11), root
 
     def test_support_above_null_is_mirrored(self):
         mirrored = trp_composite(10.0, uniform_prior(0.5, 1.0), FAIR)
@@ -204,19 +225,43 @@ class TestZeroPath:
         assert proxies[-1] < 0.01
 
     @settings(max_examples=200, deadline=None)
-    @given(y=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), n0=st.floats(1.0, 1000.0))
+    @given(y=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), n0=st.floats(1.0, 1e5))
     def test_shrink_n_goes_to_zero_for_every_y(self, y, n0):
         # Near n = 0, log BF is about n (2y ln 2 - 1) for the uniform prior on
         # [1/2, 1], and against_both is n times a divergence of at most ln(4/3).
-        # Past n0 = 1000 the posterior mass underflows for small y (ROADMAP item 3).
+        # The trace halves n0 40 times, and past n0 = 1000 until it is below
+        # 1e-9, so 2n at its end stays far above the rounding of log BF's
+        # terms of size 1 (about 3e-15).
+        halvings = max(40, math.ceil(math.log2(n0 / 1e-9)))
         config = default_config(SHRINK_N)._replace(
-            y_fixed=y, n_values=tuple(n0 / 2**j for j in range(41))
+            y_fixed=y, n_values=tuple(n0 / 2**j for j in range(halvings + 1))
         )
         report = zero_path(SHRINK_N, config)
         assert all(point.against_both <= point.n for point in report.trace)
         last = report.trace[-1]
         assert last.n < 1e-9
         assert abs(last.log_bf) <= 2.0 * last.n
+
+    @settings(max_examples=25, deadline=None)
+    @given(exponent=st.floats(1.0, 7.0))
+    @example(exponent=7.0)
+    def test_ride_trp_stays_at_zero_up_to_ten_million(self, exponent):
+        n = 10.0**exponent
+        report = zero_path(RIDE_TRP, default_config(RIDE_TRP)._replace(n_values=(n,)))
+        assert abs(report.trace[0].log_bf) <= RESIDUAL_LIMIT
+
+    @settings(max_examples=25, deadline=None)
+    @given(exponent=st.floats(1.0, 7.0))
+    @example(exponent=7.0)
+    def test_log_bf_changes_sign_across_each_trp(self, exponent):
+        n = 10.0**exponent
+        roots = [(ONE_SIDED, trp_composite(n, ONE_SIDED, FAIR))]
+        wide = CompositeHypothesis((0.1, 0.9))
+        roots += [(wide, root) for root in trp_composite_two_sided(n, wide, FAIR)]
+        for h1, root in roots:
+            below, above = (log_bf(BinomialOutcome(n, (root.trp_y + step) * n, CONTINUOUS),
+                                   h1, FAIR) for step in (-1e-6, 1e-6))
+            assert below * above < 0.0, (h1, root)
 
     def test_shrink_n_golden_trace(self):
         report = zero_path(SHRINK_N)
