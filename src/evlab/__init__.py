@@ -20,12 +20,12 @@ _HOMES = {
         "BinomialOutcome", "PointHypothesis", "CompositeHypothesis", "Hypothesis",
         "EvidenceValue", "EXACT", "CONTINUOUS", "EVIDENCE_KINDS", "LOG_SCALE_KINDS",
         "uniform_prior", "binomial_log_pmf", "p_value_two_sided", "neg_log_p",
-        "log_mlr", "log_slr", "log_bf", "abs_log_bf", "log_bf_irrelevant_data",
+        "log_mlr", "log_slr", "log_bf", "log_bf_irrelevant_data",
         "support_label", "compute_evidence", "UnsupportedNullError",
         "DegeneratePriorError",
     ), "evidence"),
     **dict.fromkeys((
-        "log_gamma", "log_beta", "regularized_incomplete_beta",
+        "log_gamma", "regularized_incomplete_beta",
         "find_root", "InvalidBracketError", "ConvergenceError",
     ), "numerics"),
     **dict.fromkeys((

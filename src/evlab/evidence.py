@@ -150,12 +150,10 @@ def uniform_prior(lo: float = 0.0, hi: float = 1.0) -> CompositeHypothesis:
 
 
 class EvidenceValue(NamedTuple):
-    """A named statistic value together with the inputs it was computed from."""
+    """A named statistic value."""
 
     kind: str
     value: float
-    data: BinomialOutcome
-    hypotheses: tuple[Hypothesis, ...]
 
 
 def binomial_log_pmf(data: BinomialOutcome, theta: float) -> float:
@@ -342,11 +340,6 @@ def log_bf(data: BinomialOutcome, h1: Hypothesis, h2: PointHypothesis) -> float:
             - (_log_beta_front(theta0, post_a, post_b) - log_post_mass))
 
 
-def abs_log_bf(data: BinomialOutcome, h1: Hypothesis, h2: PointHypothesis) -> float:
-    """|log BF|; exactly 0.0 at a transition point."""
-    return abs(log_bf(data, h1, h2))
-
-
 def support_label(log_bf_value: float) -> str:
     """Which hypothesis a signed log Bayes factor favors."""
     if log_bf_value > 0.0:
@@ -383,7 +376,7 @@ def compute_evidence(
     null: PointHypothesis | None = None,
     alternative: Hypothesis | None = None,
 ) -> EvidenceValue:
-    """Compute one named statistic, returning it with its inputs attached.
+    """Compute one named statistic, returning it with its kind.
 
     `null` is the point hypothesis in the denominator role; `alternative`
     is the numerator hypothesis for the likelihood-ratio and Bayes-factor
@@ -396,21 +389,21 @@ def compute_evidence(
     if null is None:
         raise ValueError(f"kind {kind!r} requires a null hypothesis")
     if kind == "pvalue":
-        return EvidenceValue(kind, p_value_two_sided(data, null), data, (null,))
-    if kind == "neglogp":
-        return EvidenceValue(kind, neg_log_p(data, null), data, (null,))
-    if kind in ("mlr", "logmlr"):
-        value, hypotheses = log_mlr(data, null), (null,)
+        value = p_value_two_sided(data, null)
+    elif kind == "neglogp":
+        value = neg_log_p(data, null)
+    elif kind in ("mlr", "logmlr"):
+        value = log_mlr(data, null)
     elif alternative is None:
         raise ValueError(f"kind {kind!r} requires an alternative hypothesis")
     elif kind in SLR_KINDS:
         if not isinstance(alternative, PointHypothesis):
             raise ValueError("slr compares two point hypotheses")
-        value, hypotheses = log_slr(data, alternative, null), (alternative, null)
+        value = log_slr(data, alternative, null)
     else:
-        value, hypotheses = log_bf(data, alternative, null), (alternative, null)
+        value = log_bf(data, alternative, null)
     if kind in RATIO_LOG_KINDS:
         value = exp_or_inf(value)
-    elif kind == "abslogbf":
+    elif kind == "abslogbf":  # |log BF|, exactly 0.0 at a transition point
         value = abs(value)
-    return EvidenceValue(kind, value, data, hypotheses)
+    return EvidenceValue(kind, value)

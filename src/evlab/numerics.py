@@ -13,6 +13,7 @@ cancelled.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 
@@ -33,6 +34,10 @@ _BETACF_MIN_ITER = 300
 _BETACF_MAX_ITER = 2**20
 _BETACF_EPS = 1e-15
 _BETACF_TINY = 1e-300
+# ln 2**-26: an I_x below it, taken as 1 minus its complement, keeps at most
+# half the digits of a double.
+_HALF_LOG_EPS = 0.5 * math.log(sys.float_info.epsilon)
+_DBL_MIN = sys.float_info.min  # the smallest normal double
 # Default root-finder bracket tolerance on the argument.
 DEFAULT_TOL = 1e-12
 
@@ -46,13 +51,6 @@ def log_gamma(x: float) -> float:
         return math.lgamma(x)
     except OverflowError as err:
         raise OverflowError(f"log_gamma overflows a double at x={x}") from err
-
-
-def log_beta(a: float, b: float) -> float:
-    """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a+b), for a, b > 0."""
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"log_beta requires positive arguments, got a={a}, b={b}")
-    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
 # ln n! - ln(sqrt(2 pi n) (n/e)^n) at n = 1/2, 1, 3/2, ..., 15 (Loader 2000).
@@ -106,7 +104,8 @@ def _bd0(x: float, n: float, p: float) -> float:
     all have one sign. It is exactly 0.0 when x equals m. No part
     overflows before the value does: the series runs only where x + m is
     finite and forms 2vx with |2v| < 1, and elsewhere m - x is added last.
-    x/m is taken as x/n/p, which stays finite where n p underflows to 0.
+    x/m is taken as x/n/p, which stays finite where n p underflows to 0,
+    and as ln x - ln n - ln p where x/n/p itself leaves the normal range.
     """
     m = n * p
     if abs(x - m) < 0.1 * (x + m) < math.inf:
@@ -117,7 +116,12 @@ def _bd0(x: float, n: float, p: float) -> float:
             if (grown := s + term / j) == s:
                 return s
             s, j = grown, j + 2.0
-    return _xlogy(x, x / n / p) + (m - x)
+    ratio = x / n / p
+    if _DBL_MIN <= ratio < math.inf:
+        return x * math.log(ratio) + (m - x)
+    if x == 0.0:  # 0 ln 0 = 0
+        return m
+    return x * ((math.log(x) - math.log(n)) - math.log(p)) + (m - x)
 
 
 def _log_beta_front(x: float, a: float, b: float) -> float:
@@ -184,8 +188,11 @@ def regularized_incomplete_beta(x: float, a: float, b: float, log: bool = False)
 
     Evaluated through the continued fraction, using the symmetry
     I_x(a,b) = 1 - I_{1-x}(b,a) to stay in the rapidly converging regime.
-    The prefactor x^a (1-x)^b / B(a, b) is kept as a log in deviance form,
-    so with log=True the value stays finite where I_x underflows.
+    Where that complement leaves I_x below 2**-26 (a tiny shape b), it has
+    lost half the digits or rounded to 0, and the direct fraction is taken
+    instead if it converges. The prefactor x^a (1-x)^b / B(a, b) is kept as
+    a log in deviance form, so with log=True the value stays finite where
+    I_x underflows.
     """
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"incomplete beta requires positive shapes, got a={a}, b={b}")
@@ -200,6 +207,11 @@ def regularized_incomplete_beta(x: float, a: float, b: float, log: bool = False)
         log_value = log_front + math.log(_beta_continued_fraction(a, b, x) / a)
     else:  # from ln(1 - I)
         log_value = _log1mexp(log_front + math.log(_beta_continued_fraction(b, a, 1.0 - x) / b))
+        if log_value < _HALF_LOG_EPS:
+            try:
+                log_value = log_front + math.log(_beta_continued_fraction(a, b, x) / a)
+            except ConvergenceError:
+                pass
     return log_value if log else math.exp(log_value)
 
 

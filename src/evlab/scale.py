@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from bisect import bisect_right
 from enum import Enum
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -265,26 +266,23 @@ def _tied_pairs(ordered: Sequence) -> int:
 
 def _sort_counting_swaps(values: list[float]) -> tuple[list[float], int]:
     """values in stable ascending order, and the number of pairs i < j with
-    values[i] > values[j] (the swaps an exchange sort would make)."""
-    if len(values) < 2:
-        return values, 0
-    mid = len(values) // 2
-    left, swaps_left = _sort_counting_swaps(values[:mid])
-    right, swaps_right = _sort_counting_swaps(values[mid:])
-    merged: list[float] = []
-    swaps = swaps_left + swaps_right
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if right[j] < left[i]:
-            merged.append(right[j])
-            j += 1
-            swaps += len(left) - i
-        else:
-            merged.append(left[i])
-            i += 1
-    merged += left[i:]
-    merged += right[j:]
-    return merged, swaps
+    values[i] > values[j] (the swaps an exchange sort would make). Runs of 64
+    are insertion-sorted, each value passing the greater ones before it; the
+    runs then merge pairwise, each right value passing the greater left ones."""
+    runs, swaps = [], 0
+    for start in range(0, len(values), 64):
+        run: list[float] = []
+        for before, value in enumerate(values[start:start + 64]):
+            at = bisect_right(run, value)
+            swaps += before - at
+            run.insert(at, value)
+        runs.append(run)
+    while len(runs) > 1:
+        pairs = list(zip(runs[::2], runs[1::2]))
+        for left, right in pairs:
+            swaps += len(left) * len(right) - sum(map(bisect_right, itertools.repeat(left), right))
+        runs = [sorted(left + right) for left, right in pairs] + runs[2 * len(pairs):]
+    return (runs[0] if runs else []), swaps
 
 
 def _kendall_tau_b(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, int]:
@@ -292,7 +290,7 @@ def _kendall_tau_b(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, int
 
     Knight's O(m log m) method (JASA 1966) with the tie correction: sort
     the points by (x, y) and count the x ties and joint ties in runs; a
-    merge sort of the y column then counts its swaps, which are exactly the
+    stable sort of the y column then counts its swaps, which are exactly the
     pairs that x orders one way and y strictly the other, and leaves the y
     ties in runs. The integer counts equal those of comparing every pair,
     so tau is the same double. Values must not be NaN.
@@ -311,12 +309,9 @@ def _kendall_tau_b(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, int
     return (concordant - discordant) / denom, discordant
 
 
-def rank_order_agreement(
-    grid: Sequence[BinomialOutcome],
-    kinds: Sequence[str],
-    config: AgreementConfig | None = None,
-) -> AgreementReport:
-    """Compute every statistic on every outcome and compare their rankings.
+def rank_order_agreement(grid: Sequence[BinomialOutcome], kinds: Sequence[str]) -> AgreementReport:
+    """Compute every statistic on every outcome, under AgreementConfig(), and
+    compare their rankings.
 
     Ties are handled with the tau-b correction, since grids of discrete
     outcomes produce exact ties (every balanced outcome has p = 1, for
@@ -330,8 +325,7 @@ def rank_order_agreement(
     """
     if not grid:
         raise ValueError("agreement requires a nonempty outcome grid")
-    if config is None:
-        config = AgreementConfig()
+    config = AgreementConfig()
     kinds = tuple(kinds)
 
     # One column per distinct ranked statistic: a repeated kind, and a ratio

@@ -175,6 +175,15 @@ class TestCompute:
         assert status == 0
         assert out == "kind,n,k,value\nlogbf,1e+306,0,6.9314718056e+305\n"
 
+    def test_tiny_prior_shape_keeps_its_mass(self, capsys):
+        # I_0.9(3, 1e-20) is about 1e-20, which 1 - I_0.1(1e-20, 3) rounds to 0;
+        # mpmath quadrature of the two marginal likelihoods gives 49.7483666108
+        status, out = run_cli(capsys, "compute", "--mode", "continuous", "--n", "100", "--k",
+                              "0", "--bf", "beta:3,1e-20", "--support", "0.1,0.9",
+                              "--kinds", "logbf")
+        assert status == 0
+        assert out == "kind,n,k,value\nlogbf,100,0,49.7483666108\n"
+
     def test_huge_n_names_the_shapes_the_fraction_cannot_take(self, capsys):
         # past shapes of about 1e154 the continued fraction's products overflow;
         # it stops at its iteration bound and names the inputs

@@ -1,6 +1,5 @@
 import math
 import re
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -13,9 +12,9 @@ from evlab.numerics import (
     InvalidBracketError,
     find_root,
     linspace,
-    log_beta,
     log_gamma,
     regularized_incomplete_beta,
+    _bd0,
     _beta_continued_fraction,
     _stirlerr,
 )
@@ -64,24 +63,6 @@ class TestLogGamma:
             log_gamma(1e306)
 
 
-class TestLogBeta:
-    def test_uniform_is_zero(self):
-        assert log_beta(1.0, 1.0) == pytest.approx(0.0, abs=1e-13)
-
-    def test_exact_fractions(self):
-        # B(a, b) = (a-1)!(b-1)!/(a+b-1)! for integer shapes
-        assert math.isclose(log_beta(2.0, 2.0), math.log(1.0 / 6.0), rel_tol=1e-12)
-        b66 = Fraction(math.factorial(5) * math.factorial(5), math.factorial(11))
-        assert math.isclose(log_beta(6.0, 6.0), math.log(float(b66)), rel_tol=1e-12)
-        assert b66 == Fraction(14400, 39916800)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            log_beta(0.0, 1.0)
-        with pytest.raises(ValueError):
-            log_beta(1.0, -2.0)
-
-
 class TestStirlerr:
     @pytest.mark.parametrize("n", [0.5, 1.0, 7.5, 15.0, 0.01, 2.3, 14.99, 15.01, 20.0,
                                    35.5, 36.0, 80.5, 81.0, 500.0, 501.0, 1e4, 1e7, 1e20])
@@ -93,6 +74,19 @@ class TestStirlerr:
             expected = mpmath.loggamma(x + 1) - (x + 0.5) * mpmath.log(x) + x - mpmath.log(
                 mpmath.sqrt(2 * mpmath.pi))
         assert _stirlerr(n) == pytest.approx(float(expected), rel=1e-13, abs=5e-15)
+
+
+class TestBd0:
+    @pytest.mark.parametrize("x, n, p", [
+        (5e-324, 1e200, 0.3), (1e-310, 1.0, 0.5), (2e-320, 3.0, 0.25),  # x/n/p underflows
+        (0.5, 1.0, 1e-310), (3.0, 3.0, 5e-324),  # x/n/p overflows
+    ])
+    def test_ratio_outside_the_normal_range_matches_mpmath(self, x, n, p):
+        # x ln(x/m) + m - x at m = n p, with ln(x/m) taken from the three logs
+        with mpmath.workdps(60):
+            xm, m = mpmath.mpf(x), mpmath.mpf(n) * mpmath.mpf(p)
+            expected = xm * mpmath.log(xm / m) + m - xm
+        assert _bd0(x, n, p) == pytest.approx(float(expected), rel=1e-14)
 
 
 class TestIncompleteBeta:
@@ -164,6 +158,23 @@ class TestIncompleteBeta:
         assert got == pytest.approx(expected, rel=1e-13)
         assert regularized_incomplete_beta(x, float(a), float(b)) == pytest.approx(
             math.exp(expected), rel=1e-12)
+
+    def test_tiny_second_shape_above_the_switch_point(self):
+        # Above x = (a+1)/(a+b+2) I_x is 1 minus its complement, which rounds to
+        # 1 for a tiny b; below 2**-26 the direct fraction is taken instead
+        assert regularized_incomplete_beta(0.9, 3.0, 1e-20, log=True) == pytest.approx(
+            math.log(special.betainc(3.0, 1e-20, 0.9)), rel=1e-13)
+        rng = np.random.default_rng(23)
+        checked = 0
+        for _ in range(300):
+            a, b = 10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-30, 2)
+            x = float(rng.uniform((a + 1.0) / (a + b + 2.0), 0.999))
+            expected = math.log(special.betainc(a, b, x))
+            if expected < math.log(2.0**-26):
+                checked += 1
+                got = regularized_incomplete_beta(x, a, b, log=True)
+                assert got == pytest.approx(expected, rel=1e-13), (x, a, b)
+        assert checked > 150
 
     def test_iteration_cap_is_reported(self):
         # far above the mean a/(a+b) the raw continued fraction does not converge;

@@ -35,7 +35,7 @@ def _records():
         DATA,
         NULL,
         CompositeHypothesis(),
-        EvidenceValue("pvalue", 0.34375, DATA, (NULL,)),
+        EvidenceValue("pvalue", 0.34375),
         TrPResult(10.0, 0.5, 0.0, 0.0),
         ZeroPathPoint(1.0, 0.9, 0.1, 0.2),
         SHRINK,

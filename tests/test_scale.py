@@ -20,10 +20,17 @@ from evlab.scale import (
     rank_order_agreement,
     unit_distortion,
     _kendall_tau_b,
+    _sort_counting_swaps,
 )
 from evlab.numerics import linspace
 
 from _oracles import discordant_count, pair_signs, tau_b
+
+
+# Few distinct values, so ties are common, among any floats but NaN.
+TAU_VALUES = st.sampled_from([-math.inf, -2.5, -0.0, 0.0, 1.0, 3.0, math.inf]) | st.floats(
+    allow_nan=False
+)
 
 
 def fahrenheit_to_celsius(x):
@@ -361,18 +368,43 @@ class TestRankOrderAgreement:
     @settings(max_examples=300, deadline=None, database=None)
     @given(st.data())
     def test_knight_tau_b_matches_pairwise_reference(self, data):
-        # Few distinct values, so ties in x, in y and joint ties are common;
-        # signed zeros and infinities tie as the pairwise signs see them.
-        value = st.sampled_from([-math.inf, -2.5, -0.0, 0.0, 1.0, 3.0, math.inf]) | st.floats(
-            allow_nan=False
-        )
+        # Ties in x, in y and joint ties are common; signed zeros and
+        # infinities tie as the pairwise signs see them.
         m = data.draw(st.integers(0, 40))
-        xs = data.draw(st.lists(value, min_size=m, max_size=m))
-        ys = data.draw(st.lists(value, min_size=m, max_size=m))
+        xs = data.draw(st.lists(TAU_VALUES, min_size=m, max_size=m))
+        ys = data.draw(st.lists(TAU_VALUES, min_size=m, max_size=m))
         tau, discordant = _kendall_tau_b(xs, ys)
         sx, sy = pair_signs(xs), pair_signs(ys)
         assert discordant == discordant_count(sx, sy)
         assert repr(tau) == repr(tau_b(sx, sy))
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(st.data())
+    def test_knight_tau_b_matches_pairwise_reference_past_one_run(self, data):
+        # past 64 values the swap count merges insertion-sorted runs
+        m = data.draw(st.integers(65, 300))
+        xs = data.draw(st.lists(TAU_VALUES, min_size=m, max_size=m))
+        ys = data.draw(st.lists(TAU_VALUES, min_size=m, max_size=m))
+        tau, discordant = _kendall_tau_b(xs, ys)
+        sx, sy = pair_signs(xs), pair_signs(ys)
+        assert discordant == discordant_count(sx, sy)
+        assert repr(tau) == repr(tau_b(sx, sy))
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.lists(TAU_VALUES, max_size=300))
+    def test_swap_count_is_a_stable_sort_and_its_inversions(self, values):
+        ordered, swaps = _sort_counting_swaps(list(values))
+        assert list(map(repr, ordered)) == list(map(repr, sorted(values)))
+        assert swaps == sum(values[i] > values[j]
+                            for i in range(len(values)) for j in range(i + 1, len(values)))
+
+    @pytest.mark.parametrize("max_n", [10, 30, 60])
+    def test_a_strictly_monotone_map_leaves_tau_at_one(self, max_n):
+        # each ratio kind is exp of its log kind, and -ln p falls as p rises
+        kinds = ["mlr", "logmlr", "slr", "logslr", "bf", "logbf", "pvalue", "neglogp"]
+        tau = rank_order_agreement(outcome_grid(max_n), kinds).kendall_tau
+        assert tau[("mlr", "logmlr")] == tau[("slr", "logslr")] == tau[("bf", "logbf")] == 1.0
+        assert tau[("pvalue", "neglogp")] == -1.0
 
     def test_uncomputable_outcomes_are_excluded_and_reported(self):
         grid = [BinomialOutcome(0, 0), BinomialOutcome(4, 1), BinomialOutcome(4, 3)]
@@ -407,11 +439,11 @@ class TestRankOrderAgreement:
         with pytest.raises(ValueError):
             rank_order_agreement([], ["neglogp"])
 
-    def test_custom_config(self):
+    def test_default_config(self):
         config = AgreementConfig()
         assert config.null.theta0 == 0.5
         assert config.alternative.support == (0.0, 1.0)
-        report = rank_order_agreement(outcome_grid(6), ["logslr", "logmlr"], config)
+        report = rank_order_agreement(outcome_grid(6), ["logslr", "logmlr"])
         assert ("logslr", "logmlr") in report.kendall_tau
 
 
