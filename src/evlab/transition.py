@@ -113,7 +113,12 @@ def _solve_trp(
         raise NoSignChangeError(
             f"log BF does not change sign on y in [{lo}, {hi}] at n={n}"
         ) from err
-    return TrPResult(n=n, trp_y=root, residual=abs(g(root)), bracket_width=width)
+    if (residual := abs(g(root))) > RESIDUAL_LIMIT:
+        # Near n = 1e7 log BF moves about 2e4 per unit y, so a bracket tol
+        # wide can leave its midpoint past the limit: bisect to adjacent doubles.
+        root, width = find_root(g, lo, hi, math.ulp(root))
+        residual = abs(g(root))
+    return TrPResult(n=n, trp_y=root, residual=residual, bracket_width=width)
 
 
 def trp_composite(
@@ -254,9 +259,8 @@ def zero_path(path_kind: str, config: ZeroPathConfig | None = None) -> ZeroPathR
             raise ValueError(f"shrink-n requires strictly decreasing n values, got {list(ns)}")
         if not 0.0 < config.y_fixed < 1.0:
             raise ValueError(f"fixed y must be in (0,1), got {config.y_fixed}")
-    else:
-        if any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ValueError(f"ride-trp requires strictly increasing n values, got {list(ns)}")
+    elif any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError(f"ride-trp requires strictly increasing n values, got {list(ns)}")
 
     t1, t2 = config.against_pair
     points = []
@@ -266,12 +270,6 @@ def zero_path(path_kind: str, config: ZeroPathConfig | None = None) -> ZeroPathR
         else:
             y = trp_composite(n, config.h1, config.h2, config.tol).trp_y
         data = BinomialOutcome(n, y * n, CONTINUOUS)
-        points.append(
-            ZeroPathPoint(
-                n=n,
-                y=y,
-                log_bf=log_bf(data, config.h1, config.h2),
-                against_both=against_both(data, t1, t2),
-            )
-        )
+        points.append(ZeroPathPoint(n=n, y=y, log_bf=log_bf(data, config.h1, config.h2),
+                                    against_both=against_both(data, t1, t2)))
     return ZeroPathReport(path_kind=path_kind, trace=tuple(points))

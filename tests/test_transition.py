@@ -245,6 +245,7 @@ class TestZeroPath:
     @settings(max_examples=25, deadline=None)
     @given(exponent=st.floats(1.0, 7.0))
     @example(exponent=7.0)
+    @example(exponent=6.964008427231405)  # a tol-wide bracket left residual 1.03e-8
     def test_ride_trp_stays_at_zero_up_to_ten_million(self, exponent):
         n = 10.0**exponent
         report = zero_path(RIDE_TRP, default_config(RIDE_TRP)._replace(n_values=(n,)))
@@ -253,6 +254,7 @@ class TestZeroPath:
     @settings(max_examples=25, deadline=None)
     @given(exponent=st.floats(1.0, 7.0))
     @example(exponent=7.0)
+    @example(exponent=6.964008427231405)  # a tol-wide bracket left residual 1.03e-8
     def test_log_bf_changes_sign_across_each_trp(self, exponent):
         n = 10.0**exponent
         roots = [(ONE_SIDED, trp_composite(n, ONE_SIDED, FAIR))]
