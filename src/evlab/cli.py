@@ -5,7 +5,7 @@ tabular output (CSV or JSON Lines) with a fixed header per subcommand,
 numeric fields rendered with 12 significant digits, and no timestamps or
 locale-dependent formatting, so identical invocations are byte-identical.
 
-Exit codes: 0 success, 1 computation failure, 2 usage error.
+Exit codes: 0 success, 1 computation failure or closed stdout, 2 usage error.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import csv
 import itertools
 import math
+import os
 import sys
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -148,6 +149,13 @@ def _float_list(text: str) -> list[float]:
         return [_finite(part) for part in text.split(",") if part != ""]
     except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(f"expected comma-separated finite numbers, got {text!r}")
+
+
+def _n_list(text: str) -> list[float]:
+    """Parser for a non-empty list of trial counts."""
+    if not (values := _float_list(text)):
+        raise argparse.ArgumentTypeError(f"expected at least one trial count, got {text!r}")
+    return values
 
 
 def _numbers(count: int) -> Callable[[str], tuple[float, ...]]:
@@ -480,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure1", help="log evidence curves over the observed proportion")
     p.add_argument("variant", choices=("a", "b"),
                    help="a: two point hypotheses; b: one-sided composite vs point null")
-    p.add_argument("--n", type=_float_list, default=[10.0, 100.0], metavar="N1,N2,...")
+    p.add_argument("--n", type=_n_list, default=[10.0, 100.0], metavar="N1,N2,...")
     p.add_argument("--grid", type=_positive_int, default=99, help="curve points per n (default 99)")
     _add_shared_flags(p, "--theta1", "--theta2")
     p.add_argument("--support", type=_numbers(2), default=(0.0, 0.5), metavar="LO,HI")
@@ -491,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trp", help="transition points of the log Bayes factor")
     p.add_argument("--setup", choices=("simple", "one-sided", "two-sided"),
                    default="one-sided")
-    p.add_argument("--n", type=_float_list, default=[10.0, 100.0, 1000.0],
+    p.add_argument("--n", type=_n_list, default=[10.0, 100.0, 1000.0],
                    metavar="N1,N2,...")
     _add_shared_flags(p, "--theta1", "--theta2")
     p.add_argument("--support", type=_numbers(2), default=(0.0, 0.5), metavar="LO,HI")
@@ -506,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared = transition.default_config(transition.SHRINK_N)  # values both paths share
     p.add_argument("--y", type=_open_unit, default=shared.y_fixed,
                    help=f"fixed observed proportion for shrink-n (default {shared.y_fixed:g})")
-    p.add_argument("--n", type=_float_list, default=None, metavar="N1,N2,...")
+    p.add_argument("--n", type=_n_list, default=None, metavar="N1,N2,...")
     p.add_argument("--support", type=_numbers(2), default=None, metavar="LO,HI")
     _add_shared_flags(p, "--null")
     p.add_argument("--against", type=_numbers(2), default=shared.against_pair, metavar="T1,T2",
@@ -558,7 +566,13 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, RuntimeError, OverflowError, ZeroDivisionError) as err:
         print(f"evlab: error: {err}", file=sys.stderr)
         return 1
-    write_rows(OutputSpec(args.format, args.out, args.log_base), header, rows)
+    try:
+        write_rows(OutputSpec(args.format, args.out, args.log_base), header, rows)
+    except BrokenPipeError:
+        # The reader closed the pipe. Point stdout at devnull so that the
+        # flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return status
 
 

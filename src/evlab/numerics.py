@@ -38,8 +38,10 @@ _BETACF_TINY = 1e-300
 # half the digits of a double.
 _HALF_LOG_EPS = 0.5 * math.log(sys.float_info.epsilon)
 _DBL_MIN = sys.float_info.min  # the smallest normal double
-# Default root-finder bracket tolerance on the argument.
+# Default root-finder bracket tolerance on the argument, and the largest |f|
+# that find_root accepts at a root before the bracket reaches adjacent doubles.
 DEFAULT_TOL = 1e-12
+RESIDUAL_LIMIT = 1e-8
 
 
 def log_gamma(x: float) -> float:
@@ -217,16 +219,16 @@ def regularized_incomplete_beta(x: float, a: float, b: float, log: bool = False)
 
 def find_root(
     f: Callable[[float], float], lo: float, hi: float, tol: float = DEFAULT_TOL
-) -> tuple[float, float]:
+) -> tuple[float, float, float]:
     """Locate a zero of f inside the bracket [lo, hi] by plain bisection.
 
     f must take values of strictly opposite sign at lo and hi; tol is the
     absolute tolerance on the argument. Deterministic: no randomized or
-    derivative-based steps. Returns the bracket midpoint once the bracket
-    width has shrunk to tol or no double lies strictly between its ends, or
-    an exact zero of f if one is hit along the way, together with the width
-    of the bracket reached (0 for an exact zero). Each step halves the
-    bracket, so any tol terminates.
+    derivative-based steps. Returns (x, f(x), width): the first bracket
+    midpoint where the bracket is no wider than tol and |f| is at most
+    RESIDUAL_LIMIT, an exact zero of f (width 0), or, once no double lies
+    strictly between the ends, the end their midpoint rounds to. Each step
+    halves the bracket, so any tol terminates.
     """
     if not lo < hi:
         raise ValueError(f"bracket requires lo < hi, got [{lo}, {hi}]")
@@ -239,19 +241,17 @@ def find_root(
             f"f must have strictly opposite signs at the bracket endpoints: "
             f"f({lo})={f_lo}, f({hi})={f_hi}"
         )
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:  # false once lo and hi are adjacent doubles
+    while lo < (mid := 0.5 * (lo + hi)) < hi:  # false once lo and hi are adjacent doubles
         f_mid = f(mid)
+        if hi - lo <= tol and abs(f_mid) <= RESIDUAL_LIMIT:
+            return mid, f_mid, hi - lo
         if f_mid == 0.0:
-            return mid, 0.0
+            return mid, 0.0, 0.0
         if (f_mid < 0.0) == (f_lo < 0.0):
             lo, f_lo = mid, f_mid
         else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
-            break
-    return mid, hi - lo
+            hi, f_hi = mid, f_mid
+    return (lo, f_lo, hi - lo) if mid == lo else (hi, f_hi, hi - lo)
 
 
 def linspace(lo: float, hi: float, num: int) -> list[float]:

@@ -26,10 +26,8 @@ from .evidence import (
     log_slr,
     uniform_prior,
 )
-from .numerics import DEFAULT_TOL, InvalidBracketError, find_root
+from .numerics import DEFAULT_TOL, RESIDUAL_LIMIT, InvalidBracketError, find_root
 
-# Root residuals above this are treated as a failed solve.
-RESIDUAL_LIMIT = 1e-8
 # Root brackets stay this far inside the support / away from the point null,
 # since the log Bayes factor diverges toward the support edges.
 BRACKET_MARGIN = 1e-6
@@ -53,9 +51,11 @@ class _TrPResult(NamedTuple):
 class TrPResult(_TrPResult):
     """A root of the log Bayes factor in the observed proportion, at fixed n.
 
+    residual is |log BF| at trp_y, the value the root-finder stopped on.
     bracket_width is the width of the bracket bisection stopped at around
-    trp_y: at most the tol asked for, or one double spacing where tol is
-    finer. It is 0 for a closed-form or exact root.
+    trp_y: at most the tol asked for, less where |log BF| was still above
+    RESIDUAL_LIMIT there, and one double spacing where neither rule was met
+    sooner. It is 0 for a closed-form or exact root.
     """
 
     __slots__ = ()
@@ -108,17 +108,12 @@ def _solve_trp(
         return log_bf(BinomialOutcome(n, y * n, CONTINUOUS), h1, h2)
 
     try:
-        root, width = find_root(g, lo, hi, tol)
+        root, value, width = find_root(g, lo, hi, tol)
     except InvalidBracketError as err:
         raise NoSignChangeError(
             f"log BF does not change sign on y in [{lo}, {hi}] at n={n}"
         ) from err
-    if (residual := abs(g(root))) > RESIDUAL_LIMIT:
-        # Near n = 1e7 log BF moves about 2e4 per unit y, so a bracket tol
-        # wide can leave its midpoint past the limit: bisect to adjacent doubles.
-        root, width = find_root(g, lo, hi, math.ulp(root))
-        residual = abs(g(root))
-    return TrPResult(n=n, trp_y=root, residual=residual, bracket_width=width)
+    return TrPResult(n=n, trp_y=root, residual=abs(value), bracket_width=width)
 
 
 def trp_composite(

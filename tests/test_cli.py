@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import re
 import shlex
 import subprocess
 import sys
@@ -367,12 +368,19 @@ class TestNonFiniteInput:
         ["audit", "transform", "--f", "affine:nan,1"],
         ["audit", "transform", "--grid", "0"],
         ["audit", "difference", "--p-values", "0.05,nan,0.001"],
+        ["trp", "--n", ","],  # an empty list: no n at all
+        ["figure1", "a", "--n", ","],
+        ["zero-paths", "ride-trp", "--n", ","],
     ])
     def test_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "got '" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "got '" in err
+        # the message names a flag that was given
+        assert re.search(r"argument (--[a-z-]+):", err).group(1) in [
+            token.partition("=")[0] for token in argv]
 
     def test_one_grid_point_is_enough_for_figure1(self, capsys):
         status, out = run_cli(capsys, "figure1", "a", "--n", "10", "--grid", "1")
@@ -672,6 +680,17 @@ class TestOutputOptions:
                     assert math.copysign(1.0, value) == math.copysign(1.0, float(cell))
                 else:
                     assert cell == ("" if value is None else value)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_closed_pipe_exits_one_quietly(self, fmt):
+        # a reader that stops early, as `| head -1` does
+        proc = subprocess.Popen([sys.executable, "-m", "evlab", "audit", "agreement",
+                                 "--max-n", "30", "--format", fmt],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert (proc.wait(), stderr) == (1, b"")
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "rows.csv"

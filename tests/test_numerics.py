@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import special
 
 from evlab.numerics import (
+    RESIDUAL_LIMIT,
     ConvergenceError,
     InvalidBracketError,
     find_root,
@@ -193,15 +194,15 @@ class TestIncompleteBeta:
 
 class TestFindRoot:
     def test_linear(self):
-        root, _ = find_root(lambda x: x - 0.5, 0.0, 1.0, tol=1e-10)
+        root, _, _ = find_root(lambda x: x - 0.5, 0.0, 1.0, tol=1e-10)
         assert root == pytest.approx(0.5, abs=1e-10)
 
     def test_sqrt_two(self):
-        root, _ = find_root(lambda x: x * x - 2.0, 1.0, 2.0, tol=1e-10)
+        root, _, _ = find_root(lambda x: x * x - 2.0, 1.0, 2.0, tol=1e-10)
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-10)
 
     def test_asymmetric_bracket(self):
-        root, _ = find_root(lambda x: x, -1.0, 2.0, tol=1e-10)
+        root, _, _ = find_root(lambda x: x, -1.0, 2.0, tol=1e-10)
         assert root == pytest.approx(0.0, abs=1e-10)
 
     def test_invalid_bracket(self):
@@ -218,10 +219,14 @@ class TestFindRoot:
     def test_every_positive_tol_gives_a_root(self, tol, square):
         # below the double spacing the bracket stops at adjacent doubles
         f = lambda x: x * x - square
-        root, width = find_root(f, 0.0, 1.0, tol=tol)
+        root, value, width = find_root(f, 0.0, 1.0, tol=tol)
         step = max(tol, 2.0 * math.ulp(root))
         assert 0.0 < root < 1.0
         assert 0.0 <= width <= step  # the width reached, not the tol asked for
+        assert value == f(root)  # f at the root returned, bit for bit
+        # the residual meets the limit unless the bracket reached adjacent doubles
+        assert abs(value) <= RESIDUAL_LIMIT or width in (
+            math.nextafter(root, 1.0) - root, root - math.nextafter(root, 0.0))
         assert f(root) == 0.0 or f(max(0.0, root - step)) <= 0.0 <= f(min(1.0, root + step))
 
     def test_tol_below_the_spacing_stops_at_adjacent_doubles(self):
@@ -231,14 +236,14 @@ class TestFindRoot:
             calls.append(x)
             return x * x - 2.0
 
-        root, _ = find_root(f, 1.0, 2.0, tol=1e-300)
+        root, _, _ = find_root(f, 1.0, 2.0, tol=1e-300)
         assert abs(root - math.sqrt(2.0)) <= math.ulp(root)
         assert len(calls) <= 2 + 53  # two ends, then one halving per bit
 
     def test_refinement_invariance(self):
         f = lambda x: math.cos(x) - x
-        coarse, _ = find_root(f, 0.0, 1.0, tol=1e-9)
-        fine, _ = find_root(f, 0.0, 1.0, tol=5e-10)
+        coarse, _, _ = find_root(f, 0.0, 1.0, tol=1e-9)
+        fine, _, _ = find_root(f, 0.0, 1.0, tol=5e-10)
         assert abs(coarse - fine) <= 1e-9
 
     @pytest.mark.parametrize("lo, hi, tol, message", [
@@ -257,7 +262,7 @@ class TestFindRoot:
         assert type(info.value) is ValueError
 
     def test_default_tol(self):
-        _, width = find_root(lambda x: x - 1.0 / 3.0, 0.0, 1.0)
+        _, _, width = find_root(lambda x: x - 1.0 / 3.0, 0.0, 1.0)
         assert 0.5e-12 < width <= 1e-12
 
 

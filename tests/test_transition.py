@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import special
 
+from evlab import transition
 from evlab.evidence import (
     CONTINUOUS,
     BinomialOutcome,
@@ -53,7 +54,7 @@ class TestTrpSimple:
     def test_matches_bisection_of_log_slr(self):
         h1, h2 = PointHypothesis(0.1), PointHypothesis(0.5)
         f = lambda y: log_slr(BinomialOutcome(1.0, y, CONTINUOUS), h1, h2)
-        numeric, _ = find_root(f, 0.1, 0.5, tol=1e-12)
+        numeric, _, _ = find_root(f, 0.1, 0.5, tol=1e-12)
         assert trp_simple(0.1, 0.5) == pytest.approx(numeric, abs=1e-10)
         assert 0.1 < trp_simple(0.1, 0.5) < 0.5
 
@@ -120,6 +121,22 @@ class TestTrpComposite:
             expected = point + math.log(mass) - math.log(support[1] - support[0])
             got = log_bf(BinomialOutcome(n, k, CONTINUOUS), h1, FAIR)
             assert got == pytest.approx(expected, abs=1e-11), root
+
+    @pytest.mark.parametrize("n, tol, most", [
+        (10 ** 6.970428763319813, 1e-12, 45),  # the midpoint at width tol passes the limit
+        (10.0, 0.1, 32),  # a coarse tol: bisection goes on to the residual limit
+    ])
+    def test_one_bisection_per_root(self, monkeypatch, n, tol, most):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return log_bf(*args)
+
+        monkeypatch.setattr(transition, "log_bf", counted)
+        result = trp_composite(n, ONE_SIDED, FAIR, tol)
+        assert len(calls) <= most
+        assert result.residual <= RESIDUAL_LIMIT and result.bracket_width <= tol
 
     def test_support_above_null_is_mirrored(self):
         mirrored = trp_composite(10.0, uniform_prior(0.5, 1.0), FAIR)
