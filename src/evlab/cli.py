@@ -16,7 +16,7 @@ import itertools
 import math
 import os
 import sys
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 # `scale` is imported by the audit handlers and `json` by the JSONL writer,
 # so that a cold start of any other subcommand loads neither.
@@ -40,14 +40,6 @@ from .numerics import DEFAULT_TOL, linspace
 # diverges at the extremes.
 _Y_MIN = 0.01
 _Y_MAX = 0.99
-
-
-class OutputSpec(NamedTuple):
-    """Where and how rows are written, and the display base of log-valued columns."""
-
-    fmt: str = "csv"
-    destination: str | None = None
-    log_base: float = math.e
 
 
 # The log-valued columns, which the display base rescales: each maps to None
@@ -78,14 +70,15 @@ def _json_cell(value):
     return float(_fmt_cell(value)) if isinstance(value, float) else value
 
 
-def write_rows(spec: OutputSpec, header: list[str], rows: Iterable[dict]) -> None:
-    """Emit rows as CSV (header + comma-separated lines, \\n endings) or JSONL,
-    with the natural logs of the log-valued columns shown in spec.log_base.
+def write_rows(args: argparse.Namespace, header: list[str], rows: Iterable[dict]) -> None:
+    """Emit rows as CSV (header + comma-separated lines, \\n endings) or JSONL
+    to args.out or stdout, with the natural logs of the log-valued columns
+    shown in args.log_base.
 
     Rows are written as they are drawn, so an iterable that makes them on
     demand is written holding one row at a time; the rows are not changed.
     """
-    factor = 1.0 / math.log(spec.log_base)
+    factor = 1.0 / math.log(args.log_base)
     log_columns = [(i, _LOG_COLUMNS[col]) for i, col in enumerate(header) if col in _LOG_COLUMNS]
 
     def cells(row: dict) -> list:
@@ -95,11 +88,9 @@ def write_rows(spec: OutputSpec, header: list[str], rows: Iterable[dict]) -> Non
                 values[i] *= factor
         return values
 
-    out = sys.stdout if spec.destination is None else open(
-        spec.destination, "w", encoding="utf-8", newline=""
-    )
+    out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
     try:
-        if spec.fmt == "csv":
+        if args.format == "csv":
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(header)
             for row in rows:
@@ -185,15 +176,28 @@ def _kinds_list(text: str) -> list[str]:
     return kinds
 
 
+def _support(text: str) -> tuple[float, float]:
+    """Parser for the support of a composite prior, as CompositeHypothesis takes it."""
+    try:
+        return CompositeHypothesis(_numbers(2)(text)).support
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err))
+
+
+def _prefixed_pair(text: str, prefix: str, names: str) -> tuple[float, float]:
+    """The two numbers of a 'prefix:x,y' spec; names says what they are."""
+    try:
+        return _numbers(2)(text[len(prefix):])
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(f"expected {prefix}{names} with numbers, got {text!r}")
+
+
 def _prior_spec(text: str) -> tuple[float, float]:
     """Prior shape parameters: 'uniform' or 'beta:a,b'."""
     if text == "uniform":
         return (1.0, 1.0)
     if text.startswith("beta:"):
-        try:
-            a, b = _numbers(2)(text[len("beta:"):])
-        except argparse.ArgumentTypeError:
-            raise argparse.ArgumentTypeError(f"expected beta:a,b with numeric shapes, got {text!r}")
+        a, b = _prefixed_pair(text, "beta:", "a,b")
         if a <= 0 or b <= 0:
             raise argparse.ArgumentTypeError(f"beta shapes must be positive, got {text!r}")
         return (a, b)
@@ -212,12 +216,7 @@ def _transform_spec(text: str) -> tuple[str, Callable[[float], float]]:
     if text in _TRANSFORMS:
         return text, _TRANSFORMS[text]
     if text.startswith("affine:"):
-        try:
-            slope, intercept = _numbers(2)(text[len("affine:"):])
-        except argparse.ArgumentTypeError:
-            raise argparse.ArgumentTypeError(
-                f"expected affine:slope,intercept with numbers, got {text!r}"
-            )
+        slope, intercept = _prefixed_pair(text, "affine:", "slope,intercept")
         return text, lambda x: slope * x + intercept
     raise argparse.ArgumentTypeError(
         f"unknown transform {text!r}; choose log, exp, f2c, c2f or affine:slope,intercept"
@@ -250,15 +249,6 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
                         help="display base for log-valued columns (default e)")
 
 
-def _usage_checked(flags: str, make: Callable, *values):
-    """make(*values), with the ValueError of a bad value turned into a usage
-    error that names the flags it came from."""
-    try:
-        return make(*values)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(f"{flags}: {err}") from err
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -267,8 +257,10 @@ def cmd_compute(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
     kinds = args.kinds
     if kinds is None:
         kinds = ["logbf"] if args.bf is not None else ["pvalue", "neglogp", "mlr", "logmlr"]
-    data = _usage_checked(f"--n {args.n:g} --k {args.k:g}", BinomialOutcome,
-                          args.n, args.k, args.mode)
+    try:
+        data = BinomialOutcome(args.n, args.k, args.mode)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"--n {args.n:g} --k {args.k:g}: {err}") from err
     null = PointHypothesis(args.null)
 
     rows = []
@@ -279,8 +271,7 @@ def cmd_compute(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
             denominator, alternative = PointHypothesis(args.theta2), PointHypothesis(args.theta1)
         elif kind in BF_KINDS:
             # without --bf the prior is the library's default, uniform
-            alternative = _usage_checked("--support %g,%g" % args.support, CompositeHypothesis,
-                                         args.support, *(args.bf or ()))
+            alternative = CompositeHypothesis(args.support, *(args.bf or ()))
         value = compute_evidence(kind, data, null=denominator, alternative=alternative).value
         rows.append({"kind": kind, "n": args.n, "k": args.k, "value": value})
     return ["kind", "n", "k", "value"], rows, 0
@@ -292,15 +283,8 @@ def cmd_figure1(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
 
     if args.variant == "a":
         h1, h2 = PointHypothesis(args.theta1), PointHypothesis(args.theta2)
-
-        def trp_for(n: float) -> float:
-            return transition.trp_simple(args.theta1, args.theta2)
-
     else:
-        h1, h2 = CompositeHypothesis(support=args.support), PointHypothesis(args.null)
-
-        def trp_for(n: float) -> float:
-            return transition.trp_composite(n, h1, h2, args.tol).trp_y
+        h1, h2 = CompositeHypothesis(args.support), PointHypothesis(args.null)
 
     def row(n: float, y: float, row_type: str) -> dict:
         # for a point h1 the Bayes factor is the simple likelihood ratio
@@ -313,35 +297,27 @@ def cmd_figure1(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
     rows = []
     for n in args.n:
         rows.extend(row(n, y, "curve") for y in y_grid)
-        rows.append(row(n, trp_for(n), "trp"))
+        trp_y = (transition.trp_simple(args.theta1, args.theta2) if args.variant == "a"
+                 else transition.trp_composite(n, h1, h2, args.tol).trp_y)
+        rows.append(row(n, trp_y, "trp"))
     return header, rows, 0
 
 
 def cmd_trp(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
     header = ["setup", "side", "n", "trp_y", "residual", "bracket_width", "error"]
     sides = ("lower", "upper") if args.setup == "two-sided" else ("",)
-    if args.setup == "simple":
-        # the closed form holds for every n, so the list is taken as given
-        n_values = args.n
-        h1, h2 = PointHypothesis(args.theta1), PointHypothesis(args.theta2)
-
-        def solve(n: float) -> tuple[transition.TrPResult, ...]:
-            return (transition.trp_point_pair(n, h1, h2),)
-
-    else:
-        n_values = sorted(set(args.n))
-        composite, null = CompositeHypothesis(support=args.support), PointHypothesis(args.null)
-
-        def solve(n: float) -> tuple[transition.TrPResult, ...]:
-            if args.setup == "one-sided":
-                return (transition.trp_composite(n, composite, null, args.tol),)
-            return transition.trp_composite_two_sided(n, composite, null, args.tol)
-
+    h1, h2 = PointHypothesis(args.theta1), PointHypothesis(args.theta2)
+    composite, null = CompositeHypothesis(args.support), PointHypothesis(args.null)
     rows: list[dict] = []
     successes = 0
-    for n in n_values:
+    for n in sorted(set(args.n)):
         try:
-            results = solve(n)
+            if args.setup == "simple":
+                results = (transition.trp_point_pair(n, h1, h2),)
+            elif args.setup == "one-sided":
+                results = (transition.trp_composite(n, composite, null, args.tol),)
+            else:
+                results = transition.trp_composite_two_sided(n, composite, null, args.tol)
         except (ValueError, RuntimeError) as err:
             rows.append({"setup": args.setup, "side": "", "n": n, "error": str(err)})
             continue
@@ -353,20 +329,13 @@ def cmd_trp(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
 
 
 def cmd_zero_paths(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
-    if args.both:
-        if args.path is not None:
-            raise argparse.ArgumentTypeError("give either a path or --both, not both")
-        kinds = transition.PATH_KINDS
-    elif args.path is None:
-        raise argparse.ArgumentTypeError("a path (shrink-n or ride-trp) or --both is required")
-    else:
-        kinds = (args.path,)
+    kinds = transition.PATH_KINDS if args.both else (args.path,)
     # --y and --against default to the library's own values, which both paths
     # share; the shared --null and --tol defaults equal the library's.
     given = {"h2": PointHypothesis(args.null), "against_pair": args.against,
              "y_fixed": args.y, "tol": args.tol}
     if args.support is not None:
-        given["h1"] = CompositeHypothesis(support=args.support)
+        given["h1"] = CompositeHypothesis(args.support)
     if args.n is not None:
         given["n_values"] = tuple(args.n)
 
@@ -447,7 +416,10 @@ def cmd_audit_agreement(args: argparse.Namespace) -> tuple[list[str], Iterable[d
 def cmd_audit_difference(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
     from . import scale
 
-    demo = scale.difference_comparison_demo(args.p_values)
+    try:
+        demo = scale.difference_comparison_demo(args.p_values)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError("--p-values %g,%g,%g: %s" % (*args.p_values, err)) from err
     header = ["p1", "p2", "p3", "raw_diff_12", "raw_diff_23",
               "neglog_diff_12", "neglog_diff_23"]
     rows = [{
@@ -478,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared_flags(p, "--null", "--theta1", "--theta2")
     p.add_argument("--bf", type=_prior_spec, default=None, metavar="PRIOR",
                    help="composite prior for bf kinds: 'uniform' or 'beta:a,b'")
-    p.add_argument("--support", type=_numbers(2), default=(0.0, 1.0), metavar="LO,HI",
+    p.add_argument("--support", type=_support, default=(0.0, 1.0), metavar="LO,HI",
                    help="support of the composite prior (default 0,1)")
     p.add_argument("--kinds", type=_kinds_list, default=None, metavar="K1,K2,...",
                    help=f"statistics to emit, from: {','.join(EVIDENCE_KINDS)}")
@@ -491,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_n_list, default=[10.0, 100.0], metavar="N1,N2,...")
     p.add_argument("--grid", type=_positive_int, default=99, help="curve points per n (default 99)")
     _add_shared_flags(p, "--theta1", "--theta2")
-    p.add_argument("--support", type=_numbers(2), default=(0.0, 0.5), metavar="LO,HI")
+    p.add_argument("--support", type=_support, default=(0.0, 0.5), metavar="LO,HI")
     _add_shared_flags(p, "--null", "--tol")
     _add_output_flags(p)
     p.set_defaults(handler=cmd_figure1)
@@ -502,20 +474,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_n_list, default=[10.0, 100.0, 1000.0],
                    metavar="N1,N2,...")
     _add_shared_flags(p, "--theta1", "--theta2")
-    p.add_argument("--support", type=_numbers(2), default=(0.0, 0.5), metavar="LO,HI")
+    p.add_argument("--support", type=_support, default=(0.0, 0.5), metavar="LO,HI")
     _add_shared_flags(p, "--null", "--tol")
     _add_output_flags(p)
     p.set_defaults(handler=cmd_trp)
 
     p = sub.add_parser("zero-paths", help="trace the two routes to log BF = 0")
-    p.add_argument("path", nargs="?", choices=transition.PATH_KINDS, default=None)
-    p.add_argument("--both", action="store_true",
-                   help="emit both traces, shrink-n then ride-trp")
+    route = p.add_mutually_exclusive_group(required=True)
+    route.add_argument("path", nargs="?", choices=transition.PATH_KINDS, default=None)
+    route.add_argument("--both", action="store_true",
+                       help="emit both traces, shrink-n then ride-trp")
     shared = transition.default_config(transition.SHRINK_N)  # values both paths share
     p.add_argument("--y", type=_open_unit, default=shared.y_fixed,
                    help=f"fixed observed proportion for shrink-n (default {shared.y_fixed:g})")
     p.add_argument("--n", type=_n_list, default=None, metavar="N1,N2,...")
-    p.add_argument("--support", type=_numbers(2), default=None, metavar="LO,HI")
+    p.add_argument("--support", type=_support, default=None, metavar="LO,HI")
     _add_shared_flags(p, "--null")
     p.add_argument("--against", type=_numbers(2), default=shared.against_pair, metavar="T1,T2",
                    help="point pair for the contradiction proxy (default %g,%g)"
@@ -563,15 +536,18 @@ def main(argv: list[str] | None = None) -> int:
         header, rows, status = args.handler(args)
     except argparse.ArgumentTypeError as err:
         parser.error(str(err))  # exits with status 2
-    except (ValueError, RuntimeError, OverflowError, ZeroDivisionError) as err:
+    except (ValueError, RuntimeError, ArithmeticError) as err:
         print(f"evlab: error: {err}", file=sys.stderr)
         return 1
     try:
-        write_rows(OutputSpec(args.format, args.out, args.log_base), header, rows)
+        write_rows(args, header, rows)
     except BrokenPipeError:
         # The reader closed the pipe. Point stdout at devnull so that the
         # flush at exit does not raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except OSError as err:  # after BrokenPipeError, which is one
+        print(f"evlab: error: {err}", file=sys.stderr)
         return 1
     return status
 

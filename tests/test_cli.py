@@ -150,7 +150,7 @@ class TestCompute:
         (["--n", "10.5", "--k", "3"], "--n 10.5 --k 3: exact mode requires integer"),
         (["--n", "-1", "--k", "0"], "--n -1 --k 0: trial count must be nonnegative"),
         (["--n", "10", "--k", "3", "--support", "0.5,0.2", "--kinds", "logbf"],
-         "--support 0.5,0.2: support must be a positive-width subinterval"),
+         "argument --support: support must be a positive-width subinterval"),
     ])
     def test_invalid_data_is_usage_error(self, capsys, flags, names):
         with pytest.raises(SystemExit) as exc:
@@ -158,9 +158,20 @@ class TestCompute:
         assert exc.value.code == 2
         assert names in capsys.readouterr().err
 
-    def test_support_is_checked_only_for_bf_kinds(self, capsys):
-        status, _ = run_cli(capsys, "compute", "--n", "10", "--k", "3", "--support", "0.5,0.2")
-        assert status == 0
+    @pytest.mark.parametrize("command", [
+        ["compute", "--n", "10", "--k", "3", "--kinds", "pvalue"],
+        ["compute", "--n", "10", "--k", "3", "--kinds", "logbf"],
+        ["figure1", "b"],
+        ["trp", "--setup", "simple"],
+        ["trp", "--setup", "one-sided"],
+        ["trp", "--setup", "two-sided"],
+        ["zero-paths", "ride-trp"],
+    ])
+    def test_bad_support_is_usage_error_wherever_it_is_taken(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--support", "0.5,0.2"])
+        assert exc.value.code == 2
+        assert "--support" in capsys.readouterr().err
 
     def test_computation_error_exits_one(self, capsys):
         # p-value needs integer data: continuous mode fails at compute time
@@ -242,11 +253,16 @@ class TestFigure1:
 
 
 class TestTrp:
-    def test_simple_setup_constant_half(self, capsys):
-        status, out = run_cli(capsys, "trp", "--setup", "simple", "--n", "1,10,100")
+    @pytest.mark.parametrize("n_list, n_rows", [
+        ("1,10,100", ["1", "10", "100"]),
+        ("10,1,10", ["1", "10"]),  # sorted and de-duplicated, as for the other setups
+    ])
+    def test_simple_setup_constant_half(self, capsys, n_list, n_rows):
+        status, out = run_cli(capsys, "trp", "--setup", "simple", "--n", n_list)
         assert status == 0
         _, rows = parse_csv(out)
-        assert [r["trp_y"] for r in rows] == ["0.5", "0.5", "0.5"]
+        assert [r["n"] for r in rows] == n_rows
+        assert all(r["trp_y"] == "0.5" for r in rows)
         assert all(float(r["residual"]) < 1e-8 for r in rows)
 
     def test_one_sided_golden(self, capsys):
@@ -433,11 +449,13 @@ class TestZeroPaths:
         with pytest.raises(SystemExit) as exc:
             main(["zero-paths", "shrink-n", "--both"])
         assert exc.value.code == 2
+        assert "--both" in capsys.readouterr().err
 
     def test_missing_path_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["zero-paths"])
         assert exc.value.code == 2
+        assert "--both" in capsys.readouterr().err
 
     def test_both_honours_the_path_flags(self, capsys):
         status, out = run_cli(capsys, "zero-paths", "--both", "--y", "0.5")
@@ -499,16 +517,19 @@ class TestAudit:
         assert (rows[0]["transform"], rows[0]["lo"], rows[0]["hi"]) == ("log", "49", "100")
         assert 2.0 <= float(rows[0]["unit_distortion"]) <= 2.02
 
-    @pytest.mark.parametrize("flags, names", [
-        (["--grid", "3"], "transform log on --interval 49,100"),
-        (["--unit", "0"], "transform log on --interval 49,100"),
-        (["--interval", "50,50"], "transform log on --interval 50,50"),
-        (["--interval=-5,10"], "transform log on --interval -5,10"),
-        (["--f", "exp", "--interval", "0,1000"], "transform exp on --interval 0,1000"),
+    @pytest.mark.parametrize("argv, names", [
+        (["transform", "--grid", "3"], "transform log on --interval 49,100"),
+        (["transform", "--unit", "0"], "transform log on --interval 49,100"),
+        (["transform", "--interval", "50,50"], "transform log on --interval 50,50"),
+        (["transform", "--interval=-5,10"], "transform log on --interval -5,10"),
+        (["transform", "--f", "exp", "--interval", "0,1000"],
+         "transform exp on --interval 0,1000"),
+        (["difference", "--p-values", "0,0.5,0.1"],
+         "--p-values 0,0.5,0.1: p-values must lie in (0,1]"),
     ])
-    def test_transform_domain_failures_are_usage_errors(self, capsys, flags, names):
+    def test_domain_failures_are_usage_errors(self, capsys, argv, names):
         with pytest.raises(SystemExit) as exc:
-            main(["audit", "transform", *flags])
+            main(["audit", *argv])
         assert exc.value.code == 2
         assert names in capsys.readouterr().err
 
@@ -684,13 +705,13 @@ class TestOutputOptions:
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_closed_pipe_exits_one_quietly(self, fmt):
         # a reader that stops early, as `| head -1` does
-        proc = subprocess.Popen([sys.executable, "-m", "evlab", "audit", "agreement",
-                                 "--max-n", "30", "--format", fmt],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        assert proc.stdout.readline()
-        proc.stdout.close()
-        stderr = proc.stderr.read()
-        assert (proc.wait(), stderr) == (1, b"")
+        with subprocess.Popen([sys.executable, "-m", "evlab", "audit", "agreement",
+                               "--max-n", "30", "--format", fmt],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert (proc.wait(), stderr) == (1, b"")
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "rows.csv"
@@ -702,6 +723,13 @@ class TestOutputOptions:
         assert out == ""
         text = path.read_text(encoding="utf-8")
         assert text == "kind,n,k,value\npvalue,10,5,1\n"
+
+    def test_out_file_that_cannot_be_opened_is_one_error_line(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "rows.csv"
+        assert main(["compute", "--n", "10", "--k", "2", "--out", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"evlab: error: [Errno 2] No such file or directory: '{path}'\n"
 
     def test_log_base_rescales_log_columns_only(self, capsys):
         _, base_e = run_cli(capsys, "compute", "--n", "10", "--k", "10",

@@ -5,7 +5,6 @@ import re
 
 import pytest
 
-from evlab.cli import OutputSpec
 from evlab.evidence import BinomialOutcome, CompositeHypothesis, EvidenceValue, PointHypothesis
 from evlab.scale import (
     AgreementConfig,
@@ -45,7 +44,6 @@ def _records():
         AgreementConfig(),
         rank_order_agreement(outcome_grid(4), ["neglogp", "abslogbf"]),
         DifferenceComparison((0.05, 0.04, 0.001), (0.01, 0.039), (0.22, 3.7)),
-        OutputSpec(),
     ]
 
 
