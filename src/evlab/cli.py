@@ -197,10 +197,10 @@ def _prior_spec(text: str) -> tuple[float, float]:
     if text == "uniform":
         return (1.0, 1.0)
     if text.startswith("beta:"):
-        a, b = _prefixed_pair(text, "beta:", "a,b")
-        if a <= 0 or b <= 0:
-            raise argparse.ArgumentTypeError(f"beta shapes must be positive, got {text!r}")
-        return (a, b)
+        try:
+            return CompositeHypothesis((0.0, 1.0), *_prefixed_pair(text, "beta:", "a,b"))[1:]
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err))
     raise argparse.ArgumentTypeError(f"expected 'uniform' or 'beta:a,b', got {text!r}")
 
 
@@ -382,12 +382,10 @@ class _Rows:
 def cmd_audit_agreement(args: argparse.Namespace) -> tuple[list[str], Iterable[dict], int]:
     from . import scale
 
-    grid = scale.outcome_grid(args.max_n, args.min_n)
-    if not grid:
-        raise argparse.ArgumentTypeError(
-            f"--min-n {args.min_n} --max-n {args.max_n} gives an empty outcome grid"
-        )
-    report = scale.rank_order_agreement(grid, args.kinds)
+    try:
+        report = scale.rank_order_agreement(scale.outcome_grid(args.max_n, args.min_n), args.kinds)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"--min-n {args.min_n} --max-n {args.max_n}: {err}") from err
     header = ["row_type", "kind_x", "kind_y", "tau",
               "n_a", "k_a", "n_b", "k_b", "x_a", "x_b", "y_a", "y_b"]
     kinds = report.statistic_kinds
@@ -446,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="evidence statistics for one observed outcome")
     p.add_argument("--n", type=_finite, required=True, help="trial count")
     p.add_argument("--k", type=_finite, required=True, help="success count")
-    p.add_argument("--mode", choices=(EXACT, CONTINUOUS), default=EXACT)
+    p.add_argument("--mode", choices=evidence.MODES, default=EXACT)
     _add_shared_flags(p, "--null", "--theta1", "--theta2")
     p.add_argument("--bf", type=_prior_spec, default=None, metavar="PRIOR",
                    help="composite prior for bf kinds: 'uniform' or 'beta:a,b'")
@@ -455,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kinds", type=_kinds_list, default=None, metavar="K1,K2,...",
                    help=f"statistics to emit, from: {','.join(EVIDENCE_KINDS)}")
     _add_output_flags(p)
-    p.set_defaults(handler=cmd_compute)
+    p.set_defaults(handler=cmd_compute, parser=p)
 
     p = sub.add_parser("figure1", help="log evidence curves over the observed proportion")
     p.add_argument("variant", choices=("a", "b"),
@@ -466,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--support", type=_support, default=(0.0, 0.5), metavar="LO,HI")
     _add_shared_flags(p, "--null", "--tol")
     _add_output_flags(p)
-    p.set_defaults(handler=cmd_figure1)
+    p.set_defaults(handler=cmd_figure1, parser=p)
 
     p = sub.add_parser("trp", help="transition points of the log Bayes factor")
     p.add_argument("--setup", choices=("simple", "one-sided", "two-sided"),
@@ -477,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--support", type=_support, default=(0.0, 0.5), metavar="LO,HI")
     _add_shared_flags(p, "--null", "--tol")
     _add_output_flags(p)
-    p.set_defaults(handler=cmd_trp)
+    p.set_defaults(handler=cmd_trp, parser=p)
 
     p = sub.add_parser("zero-paths", help="trace the two routes to log BF = 0")
     route = p.add_mutually_exclusive_group(required=True)
@@ -495,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
                         % shared.against_pair)
     _add_shared_flags(p, "--tol")
     _add_output_flags(p)
-    p.set_defaults(handler=cmd_zero_paths)
+    p.set_defaults(handler=cmd_zero_paths, parser=p)
 
     p = sub.add_parser("audit", help="measurement-scale audits")
     audit_sub = p.add_subparsers(dest="audit_command", required=True)
@@ -508,34 +506,33 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--grid", type=_positive_int, default=64,
                    help="classification grid size (default 64)")
     _add_output_flags(q)
-    q.set_defaults(handler=cmd_audit_transform)
+    q.set_defaults(handler=cmd_audit_transform, parser=q)
 
     q = audit_sub.add_parser("agreement", help="rank-order agreement between statistics")
-    q.add_argument("--min-n", type=int, default=2)
-    q.add_argument("--max-n", type=int, default=30)
+    q.add_argument("--min-n", type=_non_negative_int, default=2)
+    q.add_argument("--max-n", type=_non_negative_int, default=30)
     q.add_argument("--kinds", type=_kinds_list, default=["neglogp", "abslogbf"],
                    metavar="K1,K2,...")
     q.add_argument("--max-witnesses", type=_non_negative_int, default=None,
                    help="cap on emitted discordant-pair rows (default: all)")
     _add_output_flags(q)
-    q.set_defaults(handler=cmd_audit_agreement)
+    q.set_defaults(handler=cmd_audit_agreement, parser=q)
 
     q = audit_sub.add_parser("difference", help="difference comparison before/after -log")
     q.add_argument("--p-values", type=_numbers(3), default=(0.05, 0.04, 0.001),
                    metavar="P1,P2,P3")
     _add_output_flags(q)
-    q.set_defaults(handler=cmd_audit_difference)
+    q.set_defaults(handler=cmd_audit_difference, parser=q)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         header, rows, status = args.handler(args)
     except argparse.ArgumentTypeError as err:
-        parser.error(str(err))  # exits with status 2
+        args.parser.error(str(err))  # the subcommand's usage; exits with status 2
     except (ValueError, RuntimeError, ArithmeticError) as err:
         print(f"evlab: error: {err}", file=sys.stderr)
         return 1

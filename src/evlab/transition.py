@@ -96,8 +96,13 @@ def trp_point_pair(n: float, h1: PointHypothesis, h2: PointHypothesis) -> TrPRes
 
 
 def _solve_trp(
-    n: float, h1: CompositeHypothesis, h2: PointHypothesis, lo: float, hi: float, tol: float
+    n: float, h1: CompositeHypothesis, h2: PointHypothesis, a: float, b: float, tol: float
 ) -> TrPResult:
+    """The root of log BF in y between the ends a and b, in either order, kept
+    BRACKET_MARGIN inside each."""
+    if n <= 0:
+        raise ValueError(f"trial count must be positive, got n={n}")
+    lo, hi = min(a, b) + BRACKET_MARGIN, max(a, b) - BRACKET_MARGIN
     if not lo < hi:
         raise ValueError(
             f"support {h1.support} leaves no room for a root more than {BRACKET_MARGIN} "
@@ -128,20 +133,14 @@ def trp_composite(
     root is bracketed strictly between the support interior and the null.
     Unlike the two-point case, the location drifts with n.
     """
-    if n <= 0:
-        raise ValueError(f"trial count must be positive, got n={n}")
     lo, hi = h1.support
     theta0 = h2.theta0
-    if hi <= theta0:
-        y_lo, y_hi = lo + BRACKET_MARGIN, theta0 - BRACKET_MARGIN
-    elif lo >= theta0:
-        y_lo, y_hi = theta0 + BRACKET_MARGIN, hi - BRACKET_MARGIN
-    else:
+    if lo < theta0 < hi:
         raise ValueError(
             f"support {h1.support} straddles the null {theta0}; "
             "use trp_composite_two_sided for that case"
         )
-    return _solve_trp(n, h1, h2, y_lo, y_hi, tol)
+    return _solve_trp(n, h1, h2, lo if hi <= theta0 else hi, theta0, tol)
 
 
 def trp_composite_two_sided(
@@ -154,17 +153,13 @@ def trp_composite_two_sided(
 
     Returns (lower, upper) roots bracketing the null value, one on each side.
     """
-    if n <= 0:
-        raise ValueError(f"trial count must be positive, got n={n}")
     lo, hi = h1.support
     theta0 = h2.theta0
     if not lo < theta0 < hi:
         raise ValueError(
             f"two-sided case requires the support {h1.support} to straddle the null {theta0}"
         )
-    lower = _solve_trp(n, h1, h2, lo + BRACKET_MARGIN, theta0 - BRACKET_MARGIN, tol)
-    upper = _solve_trp(n, h1, h2, theta0 + BRACKET_MARGIN, hi - BRACKET_MARGIN, tol)
-    return lower, upper
+    return _solve_trp(n, h1, h2, lo, theta0, tol), _solve_trp(n, h1, h2, theta0, hi, tol)
 
 
 def against_both(data: BinomialOutcome, theta1: float, theta2: float) -> float:
@@ -176,10 +171,6 @@ def against_both(data: BinomialOutcome, theta1: float, theta2: float) -> float:
     This is a proxy measure: each branch is log_mlr against theta_i, n times
     the KL divergence of y from theta_i.
     """
-    if data.n <= 0:
-        raise ValueError(f"against_both requires n > 0, got n={data.n}")
-    if not (0.0 < theta1 < 1.0 and 0.0 < theta2 < 1.0):
-        raise ValueError(f"hypotheses must lie in (0,1), got {theta1}, {theta2}")
     if theta1 == theta2:
         raise ValueError("against_both requires distinct hypotheses")
     return min(log_mlr(data, PointHypothesis(theta1)), log_mlr(data, PointHypothesis(theta2)))
@@ -242,10 +233,8 @@ def zero_path(path_kind: str, config: ZeroPathConfig | None = None) -> ZeroPathR
     the contradiction proxy keeps growing. The two traces end at the same
     log BF but at very different states.
     """
-    if config is None:
-        config = default_config(path_kind)
-    elif path_kind not in PATH_KINDS:
-        raise ValueError(f"path kind must be one of {PATH_KINDS}, got {path_kind!r}")
+    default = default_config(path_kind)  # the one check of the path kind
+    config = default if config is None else config
     ns = config.n_values
     if not ns:
         raise ValueError("zero path requires at least one n value")

@@ -151,6 +151,8 @@ class TestCompute:
         (["--n", "-1", "--k", "0"], "--n -1 --k 0: trial count must be nonnegative"),
         (["--n", "10", "--k", "3", "--support", "0.5,0.2", "--kinds", "logbf"],
          "argument --support: support must be a positive-width subinterval"),
+        (["--n", "10", "--k", "3", "--bf", "beta:0,1"],
+         "argument --bf: prior shapes must be positive and finite, got a=0.0, b=1.0"),
     ])
     def test_invalid_data_is_usage_error(self, capsys, flags, names):
         with pytest.raises(SystemExit) as exc:
@@ -384,6 +386,9 @@ class TestNonFiniteInput:
         ["audit", "transform", "--f", "affine:nan,1"],
         ["audit", "transform", "--grid", "0"],
         ["audit", "difference", "--p-values", "0.05,nan,0.001"],
+        ["audit", "agreement", "--min-n", "-5", "--max-n", "3"],
+        ["audit", "agreement", "--max-n", "nan"],
+        ["audit", "agreement", "--min-n", "1.5"],
         ["trp", "--n", ","],  # an empty list: no n at all
         ["figure1", "a", "--n", ","],
         ["zero-paths", "ride-trp", "--n", ","],
@@ -403,6 +408,25 @@ class TestNonFiniteInput:
         assert status == 0
         _, rows = parse_csv(out)
         assert [r["row_type"] for r in rows] == ["curve", "trp"]
+
+
+class TestHandlerUsageError:
+    @pytest.mark.parametrize("argv, message", [
+        (["compute", "--n", "10", "--k", "11"], "--n 10 --k 11: require 0 <= k <= n"),
+        (["audit", "transform", "--grid", "3"], "transform log on --interval 49,100: grid"),
+        (["audit", "difference", "--p-values", "0,0.5,0.1"], "--p-values 0,0.5,0.1: p-values"),
+        (["audit", "agreement", "--max-n", "1"],
+         "--min-n 2 --max-n 1: agreement requires a nonempty outcome grid"),
+    ])
+    def test_names_its_subcommand(self, capsys, argv, message):
+        # as an argparse type error does, with the usage of the subcommand
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        command = "evlab " + " ".join(argv[:2 if argv[0] == "audit" else 1])
+        assert err.startswith(f"usage: {command} ")
+        assert f"\n{command}: error: {message}" in err
 
 
 class TestZeroPaths:

@@ -146,9 +146,13 @@ class TestTrpComposite:
         with pytest.raises(ValueError, match="straddles"):
             trp_composite(10.0, uniform_prior(0.0, 1.0), FAIR)
 
-    def test_requires_positive_n(self):
-        with pytest.raises(ValueError):
-            trp_composite(0.0, ONE_SIDED, FAIR)
+    @pytest.mark.parametrize("solve, h1", [
+        (trp_composite, ONE_SIDED),
+        (trp_composite_two_sided, uniform_prior()),
+    ], ids=["one-sided", "two-sided"])
+    def test_requires_positive_n(self, solve, h1):
+        with pytest.raises(ValueError, match="trial count must be positive, got n=0.0"):
+            solve(0.0, h1, FAIR)
 
     @pytest.mark.parametrize("support", [(0.5, 0.5000015), (0.4999985, 0.5)])
     def test_support_too_narrow_for_the_margin(self, support):
@@ -226,6 +230,8 @@ class TestAgainstBoth:
             against_both(BinomialOutcome(0, 0), 0.25, 0.75)
         with pytest.raises(ValueError):
             against_both(BinomialOutcome(4, 2), 0.3, 0.3)
+        with pytest.raises(ValueError, match="theta0 in"):
+            against_both(BinomialOutcome(4, 2), 0.25, 1.5)
 
 
 class TestZeroPath:
