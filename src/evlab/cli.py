@@ -272,8 +272,8 @@ def cmd_compute(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
         elif kind in BF_KINDS:
             # without --bf the prior is the library's default, uniform
             alternative = CompositeHypothesis(args.support, *(args.bf or ()))
-        value = compute_evidence(kind, data, null=denominator, alternative=alternative).value
-        rows.append({"kind": kind, "n": args.n, "k": args.k, "value": value})
+        value = compute_evidence(kind, data, null=denominator, alternative=alternative)
+        rows.append({"n": args.n, "k": args.k, **value._asdict()})
     return ["kind", "n", "k", "value"], rows, 0
 
 
@@ -322,8 +322,7 @@ def cmd_trp(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
             rows.append({"setup": args.setup, "side": "", "n": n, "error": str(err)})
             continue
         successes += 1
-        rows.extend({"setup": args.setup, "side": side, "n": result.n, "trp_y": result.trp_y,
-                     "residual": result.residual, "bracket_width": result.bracket_width}
+        rows.extend({"setup": args.setup, "side": side, **result._asdict()}
                     for side, result in zip(sides, results))
     return header, rows, 0 if successes else 1
 
@@ -342,8 +341,7 @@ def cmd_zero_paths(args: argparse.Namespace) -> tuple[list[str], list[dict], int
     rows = []
     for kind in kinds:
         report = transition.zero_path(kind, transition.default_config(kind)._replace(**given))
-        rows.extend({"path": kind, "n": point.n, "y": point.y, "log_bf": point.log_bf,
-                     "against_both": point.against_both} for point in report.trace)
+        rows.extend({"path": kind, **point._asdict()} for point in report.trace)
     return ["path", "n", "y", "log_bf", "against_both"], rows, 0
 
 
@@ -361,11 +359,8 @@ def cmd_audit_transform(args: argparse.Namespace) -> tuple[list[str], list[dict]
         ) from err
     header = ["transform", "lo", "hi", "unit", "order_preserving", "affine",
               "positive_scalar", "unit_distortion"]
-    rows = [{
-        "transform": name, "lo": lo, "hi": hi, "unit": args.unit,
-        "order_preserving": audit.order_preserving, "affine": audit.affine,
-        "positive_scalar": audit.positive_scalar, "unit_distortion": distortion,
-    }]
+    rows = [{"transform": name, "lo": lo, "hi": hi, "unit": args.unit,
+             **audit._asdict(), "unit_distortion": distortion}]
     return header, rows, 0
 
 
@@ -386,6 +381,10 @@ def cmd_audit_agreement(args: argparse.Namespace) -> tuple[list[str], Iterable[d
         report = scale.rank_order_agreement(scale.outcome_grid(args.max_n, args.min_n), args.kinds)
     except ValueError as err:
         raise argparse.ArgumentTypeError(f"--min-n {args.min_n} --max-n {args.max_n}: {err}") from err
+    if report.excluded:
+        (first, reason), count = report.excluded[0], len(report.excluded)
+        print(f"{args.parser.prog}: {count} outcomes excluded; first n={first.n}, k={first.k}: "
+              f"{reason}", file=sys.stderr)
     header = ["row_type", "kind_x", "kind_y", "tau",
               "n_a", "k_a", "n_b", "k_b", "x_a", "x_b", "y_a", "y_b"]
     kinds = report.statistic_kinds
@@ -420,13 +419,7 @@ def cmd_audit_difference(args: argparse.Namespace) -> tuple[list[str], list[dict
         raise argparse.ArgumentTypeError("--p-values %g,%g,%g: %s" % (*args.p_values, err)) from err
     header = ["p1", "p2", "p3", "raw_diff_12", "raw_diff_23",
               "neglog_diff_12", "neglog_diff_23"]
-    rows = [{
-        "p1": demo.p_values[0], "p2": demo.p_values[1], "p3": demo.p_values[2],
-        "raw_diff_12": demo.raw[0], "raw_diff_23": demo.raw[1],
-        "neglog_diff_12": demo.neg_log[0],
-        "neglog_diff_23": demo.neg_log[1],
-    }]
-    return header, rows, 0
+    return header, [dict(zip(header, (*demo.p_values, *demo.raw, *demo.neg_log)))], 0
 
 
 # ---------------------------------------------------------------------------

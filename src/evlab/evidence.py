@@ -291,13 +291,8 @@ def _exact_log_bf(data: BinomialOutcome, h1: CompositeHypothesis, theta0: float)
     # B(x, y) = 1 / ((x+y-1) C(x+y-2, x-1)) for integers x, y >= 1
     num = (a + b - 1) * math.comb(a + b - 2, a - 1) * q**n
     den = (n + a + b - 1) * math.comb(n + a + b - 2, k + a - 1) * t**k * (q - t) ** (n - k)
-    try:
-        if (ratio := num / den) >= sys.float_info.min:  # int division rounds once
-            return math.log(ratio)
-    except OverflowError:
-        pass
-    g = math.gcd(num, den)  # outside the normal range: log the reduced pair
-    return math.log(num // g) - math.log(den // g)
+    # A normal double: e^-488.8 <= B(k+a, n-k+b) / B(a, b) <= BF <= q^n <= 2^1021 here.
+    return math.log(num / den)  # int division rounds once
 
 
 def log_bf(data: BinomialOutcome, h1: Hypothesis, h2: PointHypothesis) -> float:

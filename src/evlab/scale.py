@@ -74,7 +74,8 @@ def classify_transformation(f: Callable[[float], float], grid: Sequence[float]) 
     scalar is an affine f with |f(0)| within that tolerance; where f(0) is
     undefined, the chord's intercept must be within it, widened by how far
     0 lies from the grid. An affine f counts as order preserving even where
-    rounding leaves its values flat.
+    rounding leaves its values flat. A value of f that is not finite raises
+    ValueError.
     """
     pts = [float(x) for x in grid]
     if len(pts) < 4:
@@ -83,6 +84,9 @@ def classify_transformation(f: Callable[[float], float], grid: Sequence[float]) 
         raise DegenerateGridError("grid must be strictly increasing")
 
     vals = [f(x) for x in pts]
+    for x, v in zip(pts, vals):
+        if not math.isfinite(v):
+            raise ValueError(f"f is not finite at x={x:g}, got {v}")
     x0, v0 = pts[0], vals[0]
     slope = (vals[-1] - v0) / (pts[-1] - x0)
     # Values far larger than their range round by more than AFFINE_TOL of it.
@@ -121,7 +125,8 @@ def unit_distortion(f: Callable[[float], float], interval: tuple[float, float], 
     DISTORTION_SAMPLES evenly spaced x on [lo, hi-unit]. Affine maps give 1
     (to rounding); larger values quantify rubber-scale stretching, e.g. the
     natural log maps a unit step near 50 to about twice the step near 100.
-    A map that is not increasing somewhere gives inf.
+    A map that is not increasing somewhere gives inf; a step that is not
+    finite raises ValueError.
     """
     lo, hi = interval
     if unit <= 0.0:
@@ -131,6 +136,8 @@ def unit_distortion(f: Callable[[float], float], interval: tuple[float, float], 
             f"interval ({lo}, {hi}) must span at least two units of {unit}"
         )
     steps = [f(x + unit) - f(x) for x in linspace(lo, hi - unit, DISTORTION_SAMPLES)]
+    if not all(map(math.isfinite, steps)):
+        raise ValueError(f"a unit step of f is not finite on ({lo}, {hi})")
     min_step = min(steps)
     if min_step <= 0.0:
         return math.inf
@@ -225,11 +232,6 @@ class DiscordantPairs:
                                          _reported(kx, (xi, xj)), _reported(ky, (yi, yj)))
                     count -= 1
             i += 1
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (tuple, DiscordantPairs)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     def __repr__(self) -> str:
         return f"<{self._len} discordant pairs>"

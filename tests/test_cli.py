@@ -153,6 +153,10 @@ class TestCompute:
          "argument --support: support must be a positive-width subinterval"),
         (["--n", "10", "--k", "3", "--bf", "beta:0,1"],
          "argument --bf: prior shapes must be positive and finite, got a=0.0, b=1.0"),
+        (["--n", "10", "--k", "3", "--bf", "foo"],
+         "argument --bf: expected 'uniform' or 'beta:a,b', got 'foo'"),
+        (["--n", "10", "--k", "3", "--kinds", ","],
+         "argument --kinds: at least one statistic kind is required"),
     ])
     def test_invalid_data_is_usage_error(self, capsys, flags, names):
         with pytest.raises(SystemExit) as exc:
@@ -550,6 +554,15 @@ class TestAudit:
          "transform exp on --interval 0,1000"),
         (["difference", "--p-values", "0,0.5,0.1"],
          "--p-values 0,0.5,0.1: p-values must lie in (0,1]"),
+        (["transform", "--interval", "1,2,3"],
+         "argument --interval: expected two comma-separated numbers, got '1,2,3'"),
+        (["transform", "--f", "foo"],
+         "argument --f: unknown transform 'foo'; choose log, exp, f2c, c2f or affine:"),
+        # 1e300 x overflows to inf without raising
+        (["transform", "--f", "affine:1e300,1", "--interval", "1e7,1e9"],
+         "transform affine:1e300,1 on --interval 1e+07,1e+09: f is not finite at x="),
+        (["transform", "--f", "affine:1e300,1", "--interval", "1e300,1.7e308"],
+         "transform affine:1e300,1 on --interval 1e+300,1.7e+308: f is not finite at x="),
     ])
     def test_domain_failures_are_usage_errors(self, capsys, argv, names):
         with pytest.raises(SystemExit) as exc:
@@ -662,6 +675,20 @@ class TestAudit:
         assert exc.value.code == 2
         assert "empty outcome grid" in capsys.readouterr().err
 
+    def test_agreement_reports_its_exclusions_on_stderr(self, capsys):
+        line = ("evlab audit agreement: 1 outcomes excluded; first n=0, k=0: "
+                "p-value requires n >= 1, got n=0\n")
+        assert main(["audit", "agreement", "--min-n", "0", "--max-n", "0"]) == 0
+        out, err = capsys.readouterr()
+        assert err == line
+        assert {row["tau"] for row in parse_csv(out)[1]} == {"nan"}
+        # the rows are those of the grid without the excluded outcome
+        assert main(["audit", "agreement", "--min-n", "0", "--max-n", "3"]) == 0
+        out, err = capsys.readouterr()
+        assert err == line
+        assert main(["audit", "agreement", "--min-n", "1", "--max-n", "3"]) == 0
+        assert capsys.readouterr() == (out, "")
+
     def test_agreement_cap_bounds_a_large_grid(self, capsys):
         status, out = run_cli(
             capsys, "audit", "agreement", "--max-n", "100", "--max-witnesses", "10"
@@ -684,6 +711,24 @@ class TestAudit:
         row = rows[0]
         assert float(row["raw_diff_12"]) == pytest.approx(0.01)
         assert float(row["neglog_diff_23"]) == pytest.approx(3.68888, abs=1e-4)
+
+
+class TestRowsFitTheHeader:
+    @pytest.mark.parametrize("line", readme_examples())
+    def test_readme_example(self, line):
+        # a row key outside the header would be dropped without a sound
+        args = build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        header, rows, _ = args.handler(args)
+        filled = set()
+        for row in rows:
+            assert set(row) <= set(header)
+            filled.update(row)
+        assert set(header) - {"error"} <= filled
+
+    def test_readme_examples_reach_every_handler(self):
+        handlers = {build_parser().parse_args(shlex.split(line, comments=True)[1:]).handler
+                    for line in readme_examples()}
+        assert len(handlers) == 7
 
 
 class TestOutputOptions:

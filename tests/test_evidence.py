@@ -505,12 +505,27 @@ class TestExactLogBf:
         expected = float(mpmath.log(mpmath.mpf(bf.numerator) / bf.denominator))
         assert got == pytest.approx(expected, rel=1e-15, abs=1e-15)
 
-    def test_out_of_range_ratio_stays_finite(self):
-        # BF = 1 / (n+1) / 2**-(60n) at theta0 = 2**-60: far past the largest double
+    def test_tiny_theta0_takes_the_exact_path(self):
+        # BF = 1 / (n+1) / 2**-(60n) = 2**896 at theta0 = 2**-60, about 5.3e269
         theta0 = 2.0**-60
         got = log_bf(BinomialOutcome(15, 15), uniform_prior(), PointHypothesis(theta0))
         assert _exact_log_bf(BinomialOutcome(15, 15), uniform_prior(), theta0) == got
         assert got == pytest.approx(15 * 60 * math.log(2.0) - math.log(16), rel=1e-15)
+
+    @pytest.mark.parametrize("n, a, b, theta0, expected", [
+        # the smallest prior moment the budget admits, e^-488.8, against 1/2
+        (283, 1, 457, 0.5, -292.6176612321842),
+        # the largest q the budget admits: BF = 2**1021 / 2 = 2**1020
+        (1, 1, 1, 2.0**-1021, 707.0101241711442),
+    ])
+    def test_corners_of_the_budget(self, n, a, b, theta0, expected):
+        h1, h2 = CompositeHypothesis((0.0, 1.0), a, b), PointHypothesis(theta0)
+        assert n * Fraction(theta0).denominator.bit_length() + a + b == _EXACT_BF_BITS
+        got = log_bf(BinomialOutcome(n, n), h1, h2)
+        assert got == _exact_log_bf(BinomialOutcome(n, n), h1, theta0) == expected
+        assert got == log_fraction(bf_fraction(n, n, theta0, a, b))
+        float_path = log_bf(BinomialOutcome(n, n, CONTINUOUS), h1, h2)
+        assert abs(got - float_path) <= 1e-12 * abs(got)
 
     @pytest.mark.parametrize("data, h1", [
         (BinomialOutcome(10.0, 3.0, CONTINUOUS), uniform_prior()),
