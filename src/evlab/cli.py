@@ -240,13 +240,16 @@ def _add_shared_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
                             help=f"{help_text} (default %(default)g)")
 
 
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
+def _finish_leaf(parser: argparse.ArgumentParser, handler: Callable) -> None:
+    """End a subcommand that writes rows: its output flags come last in its
+    help, and a usage error from its handler prints its own usage."""
     parser.add_argument("--format", choices=("csv", "jsonl"), default="csv",
                         help="output format (default csv)")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="write to PATH instead of standard output")
     parser.add_argument("--log-base", type=_log_base, default=math.e, metavar="B",
                         help="display base for log-valued columns (default e)")
+    parser.set_defaults(handler=handler, parser=parser)
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="support of the composite prior (default 0,1)")
     p.add_argument("--kinds", type=_kinds_list, default=None, metavar="K1,K2,...",
                    help=f"statistics to emit, from: {','.join(EVIDENCE_KINDS)}")
-    _add_output_flags(p)
-    p.set_defaults(handler=cmd_compute, parser=p)
+    _finish_leaf(p, cmd_compute)
 
     p = sub.add_parser("figure1", help="log evidence curves over the observed proportion")
     p.add_argument("variant", choices=("a", "b"),
@@ -456,8 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared_flags(p, "--theta1", "--theta2")
     p.add_argument("--support", type=_support, default=(0.0, 0.5), metavar="LO,HI")
     _add_shared_flags(p, "--null", "--tol")
-    _add_output_flags(p)
-    p.set_defaults(handler=cmd_figure1, parser=p)
+    _finish_leaf(p, cmd_figure1)
 
     p = sub.add_parser("trp", help="transition points of the log Bayes factor")
     p.add_argument("--setup", choices=("simple", "one-sided", "two-sided"),
@@ -467,8 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared_flags(p, "--theta1", "--theta2")
     p.add_argument("--support", type=_support, default=(0.0, 0.5), metavar="LO,HI")
     _add_shared_flags(p, "--null", "--tol")
-    _add_output_flags(p)
-    p.set_defaults(handler=cmd_trp, parser=p)
+    _finish_leaf(p, cmd_trp)
 
     p = sub.add_parser("zero-paths", help="trace the two routes to log BF = 0")
     route = p.add_mutually_exclusive_group(required=True)
@@ -485,8 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="point pair for the contradiction proxy (default %g,%g)"
                         % shared.against_pair)
     _add_shared_flags(p, "--tol")
-    _add_output_flags(p)
-    p.set_defaults(handler=cmd_zero_paths, parser=p)
+    _finish_leaf(p, cmd_zero_paths)
 
     p = sub.add_parser("audit", help="measurement-scale audits")
     audit_sub = p.add_subparsers(dest="audit_command", required=True)
@@ -498,8 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--unit", type=_finite, default=1.0)
     q.add_argument("--grid", type=_positive_int, default=64,
                    help="classification grid size (default 64)")
-    _add_output_flags(q)
-    q.set_defaults(handler=cmd_audit_transform, parser=q)
+    _finish_leaf(q, cmd_audit_transform)
 
     q = audit_sub.add_parser("agreement", help="rank-order agreement between statistics")
     q.add_argument("--min-n", type=_non_negative_int, default=2)
@@ -508,14 +506,12 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="K1,K2,...")
     q.add_argument("--max-witnesses", type=_non_negative_int, default=None,
                    help="cap on emitted discordant-pair rows (default: all)")
-    _add_output_flags(q)
-    q.set_defaults(handler=cmd_audit_agreement, parser=q)
+    _finish_leaf(q, cmd_audit_agreement)
 
     q = audit_sub.add_parser("difference", help="difference comparison before/after -log")
     q.add_argument("--p-values", type=_numbers(3), default=(0.05, 0.04, 0.001),
                    metavar="P1,P2,P3")
-    _add_output_flags(q)
-    q.set_defaults(handler=cmd_audit_difference, parser=q)
+    _finish_leaf(q, cmd_audit_difference)
 
     return parser
 
@@ -524,19 +520,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         header, rows, status = args.handler(args)
+        write_rows(args, header, rows)  # rows made lazily fail here, too
     except argparse.ArgumentTypeError as err:
         args.parser.error(str(err))  # the subcommand's usage; exits with status 2
-    except (ValueError, RuntimeError, ArithmeticError) as err:
-        print(f"evlab: error: {err}", file=sys.stderr)
-        return 1
-    try:
-        write_rows(args, header, rows)
-    except BrokenPipeError:
-        # The reader closed the pipe. Point stdout at devnull so that the
-        # flush at exit does not raise again.
+    except BrokenPipeError:  # an OSError, so it comes first
+        # The reader closed the pipe; stdout goes to devnull so the exit flush cannot raise.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except OSError as err:  # after BrokenPipeError, which is one
+    except (ValueError, RuntimeError, ArithmeticError, OSError) as err:
         print(f"evlab: error: {err}", file=sys.stderr)
         return 1
     return status

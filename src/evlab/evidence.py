@@ -368,7 +368,7 @@ def compute_evidence(
     kind: str,
     data: BinomialOutcome,
     *,
-    null: PointHypothesis | None = None,
+    null: PointHypothesis,
     alternative: Hypothesis | None = None,
 ) -> EvidenceValue:
     """Compute one named statistic, returning it with its kind.
@@ -381,8 +381,6 @@ def compute_evidence(
     """
     if kind not in EVIDENCE_KINDS:
         raise ValueError(f"unknown evidence kind {kind!r}; expected one of {EVIDENCE_KINDS}")
-    if null is None:
-        raise ValueError(f"kind {kind!r} requires a null hypothesis")
     if kind == "pvalue":
         value = p_value_two_sided(data, null)
     elif kind == "neglogp":

@@ -260,6 +260,8 @@ def linspace(lo: float, hi: float, num: int) -> list[float]:
         raise ValueError(f"linspace requires num >= 1, got {num}")
     if num == 1:
         return [lo]
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"the width of [{lo:g}, {hi:g}] overflows a double")
     step = (hi - lo) / (num - 1)
     pts = [lo + i * step for i in range(num)]
     pts[-1] = hi

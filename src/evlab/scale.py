@@ -125,8 +125,8 @@ def unit_distortion(f: Callable[[float], float], interval: tuple[float, float], 
     DISTORTION_SAMPLES evenly spaced x on [lo, hi-unit]. Affine maps give 1
     (to rounding); larger values quantify rubber-scale stretching, e.g. the
     natural log maps a unit step near 50 to about twice the step near 100.
-    A map that is not increasing somewhere gives inf; a step that is not
-    finite raises ValueError.
+    A map that is not increasing somewhere gives inf; a unit that some x
+    absorbs (x + unit == x), or a step that is not finite, raises ValueError.
     """
     lo, hi = interval
     if unit <= 0.0:
@@ -135,7 +135,10 @@ def unit_distortion(f: Callable[[float], float], interval: tuple[float, float], 
         raise ValueError(
             f"interval ({lo}, {hi}) must span at least two units of {unit}"
         )
-    steps = [f(x + unit) - f(x) for x in linspace(lo, hi - unit, DISTORTION_SAMPLES)]
+    xs = linspace(lo, hi - unit, DISTORTION_SAMPLES)
+    if any(x + unit == x for x in xs):
+        raise ValueError(f"unit {unit:g} is below the double spacing on ({lo:g}, {hi:g})")
+    steps = [f(x + unit) - f(x) for x in xs]
     if not all(map(math.isfinite, steps)):
         raise ValueError(f"a unit step of f is not finite on ({lo}, {hi})")
     min_step = min(steps)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -9,10 +10,11 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from evlab import cli
 from evlab.cli import build_parser, main
-from evlab.evidence import LOG_SCALE_KINDS
+from evlab.evidence import EVIDENCE_KINDS, EXACT, LOG_SCALE_KINDS
 from evlab.transition import RESIDUAL_LIMIT
 
 from test_readme import _examples as readme_examples
@@ -563,6 +565,15 @@ class TestAudit:
          "transform affine:1e300,1 on --interval 1e+07,1e+09: f is not finite at x="),
         (["transform", "--f", "affine:1e300,1", "--interval", "1e300,1.7e308"],
          "transform affine:1e300,1 on --interval 1e+300,1.7e+308: f is not finite at x="),
+        (["transform", "--f", "affine:1,0", "--interval", "1e17,1e18"],
+         "transform affine:1,0 on --interval 1e+17,1e+18: "
+         "unit 1 is below the double spacing on (1e+17, 1e+18)"),
+        (["transform", "--f", "c2f", "--interval", "1e16,2e16"],
+         "transform c2f on --interval 1e+16,2e+16: "
+         "unit 1 is below the double spacing on (1e+16, 2e+16)"),
+        (["transform", "--f", "affine:1,0", "--interval=-1e308,1e308"],
+         "transform affine:1,0 on --interval -1e+308,1e+308: "
+         "the width of [-1e+308, 1e+308] overflows a double"),
     ])
     def test_domain_failures_are_usage_errors(self, capsys, argv, names):
         with pytest.raises(SystemExit) as exc:
@@ -800,6 +811,18 @@ class TestOutputOptions:
         assert captured.out == ""
         assert captured.err == f"evlab: error: [Errno 2] No such file or directory: '{path}'\n"
 
+    def test_a_row_that_fails_while_written_is_one_error_line(self, capsys, monkeypatch):
+        def rows():
+            yield {"p1": 0.5}
+            raise ValueError("the second row cannot be made")
+
+        # build_parser reads the handler when main calls it
+        monkeypatch.setattr(cli, "cmd_audit_difference", lambda args: (["p1"], rows(), 0))
+        assert main(["audit", "difference"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "p1\n0.5\n"
+        assert captured.err == "evlab: error: the second row cannot be made\n"
+
     def test_log_base_rescales_log_columns_only(self, capsys):
         _, base_e = run_cli(capsys, "compute", "--n", "10", "--k", "10",
                             "--kinds", "neglogp,pvalue")
@@ -869,3 +892,248 @@ class TestOutputOptions:
         _, first = run_cli(capsys, "figure1", "b", "--n", "10", "--grid", "7")
         _, second = run_cli(capsys, "figure1", "b", "--n", "10", "--grid", "7")
         assert first == second
+
+
+def _subparsers(parser):
+    """The parser's subcommand action, or None for a leaf."""
+    return next((a for a in parser._actions if isinstance(a.choices, dict)), None)
+
+
+def _parsers(parser, prefix=()):
+    """(argv prefix, parser) of parser and of every subcommand under it, in order."""
+    yield prefix, parser
+    if (action := _subparsers(parser)) is not None:
+        for name, sub in action.choices.items():
+            yield from _parsers(sub, (*prefix, name))
+
+
+def _action_table(parser):
+    """Each action as (option strings, dest, nargs, default, metavar, choices,
+    required, help), with a subcommand action's choices as {name: help}."""
+    table = []
+    for a in parser._actions:
+        choices = a.choices if a.choices is None else tuple(a.choices)
+        if isinstance(a.choices, dict):
+            choices = {sub.dest: sub.help for sub in a._get_subactions()}
+        table.append((tuple(a.option_strings), a.dest, a.nargs, a.default, a.metavar,
+                      choices, a.required, a.help))
+    return table
+
+
+_HELP = (("-h", "--help"), "help", 0, argparse.SUPPRESS, None, None, False,
+         "show this help message and exit")
+_THETAS = [
+    (("--theta1",), "theta1", None, 0.25, None, None, False,
+     "point H1 of slr/logslr, figure1 a and trp --setup simple (default %(default)g)"),
+    (("--theta2",), "theta2", None, 0.75, None, None, False,
+     "point H2 of slr/logslr, figure1 a and trp --setup simple (default %(default)g)"),
+]
+_NULL = (("--null",), "null", None, 0.5, None, None, False,
+         "point null success probability (default %(default)g)")
+_TOL = (("--tol",), "tol", None, 1e-12, None, None, False,
+        "root-finder tolerance on the observed proportion (default %(default)g)")
+_OUTPUT = [
+    (("--format",), "format", None, "csv", None, ("csv", "jsonl"), False,
+     "output format (default csv)"),
+    (("--out",), "out", None, None, "PATH", None, False,
+     "write to PATH instead of standard output"),
+    (("--log-base",), "log_base", None, math.e, "B", None, False,
+     "display base for log-valued columns (default e)"),
+]
+# Every parser's actions in order, as argparse holds them on any Python
+# version; the help layout is argparse's own.
+_ACTIONS = {
+    (): [_HELP, ((), "command", "A...", None, None, {
+        "compute": "evidence statistics for one observed outcome",
+        "figure1": "log evidence curves over the observed proportion",
+        "trp": "transition points of the log Bayes factor",
+        "zero-paths": "trace the two routes to log BF = 0",
+        "audit": "measurement-scale audits",
+    }, True, None)],
+    ("compute",): [
+        _HELP,
+        (("--n",), "n", None, None, None, None, True, "trial count"),
+        (("--k",), "k", None, None, None, None, True, "success count"),
+        (("--mode",), "mode", None, "exact", None, ("exact", "continuous"), False, None),
+        _NULL, *_THETAS,
+        (("--bf",), "bf", None, None, "PRIOR", None, False,
+         "composite prior for bf kinds: 'uniform' or 'beta:a,b'"),
+        (("--support",), "support", None, (0.0, 1.0), "LO,HI", None, False,
+         "support of the composite prior (default 0,1)"),
+        (("--kinds",), "kinds", None, None, "K1,K2,...", None, False,
+         "statistics to emit, from: pvalue,neglogp,mlr,logmlr,slr,logslr,bf,logbf,abslogbf"),
+        *_OUTPUT,
+    ],
+    ("figure1",): [
+        _HELP,
+        ((), "variant", None, None, None, ("a", "b"), True,
+         "a: two point hypotheses; b: one-sided composite vs point null"),
+        (("--n",), "n", None, [10.0, 100.0], "N1,N2,...", None, False, None),
+        (("--grid",), "grid", None, 99, None, None, False, "curve points per n (default 99)"),
+        *_THETAS,
+        (("--support",), "support", None, (0.0, 0.5), "LO,HI", None, False, None),
+        _NULL, _TOL, *_OUTPUT,
+    ],
+    ("trp",): [
+        _HELP,
+        (("--setup",), "setup", None, "one-sided", None, ("simple", "one-sided", "two-sided"),
+         False, None),
+        (("--n",), "n", None, [10.0, 100.0, 1000.0], "N1,N2,...", None, False, None),
+        *_THETAS,
+        (("--support",), "support", None, (0.0, 0.5), "LO,HI", None, False, None),
+        _NULL, _TOL, *_OUTPUT,
+    ],
+    ("zero-paths",): [
+        _HELP,
+        ((), "path", "?", None, None, ("shrink-n", "ride-trp"), False, None),
+        (("--both",), "both", 0, False, None, None, False,
+         "emit both traces, shrink-n then ride-trp"),
+        (("--y",), "y", None, 0.9, None, None, False,
+         "fixed observed proportion for shrink-n (default 0.9)"),
+        (("--n",), "n", None, None, "N1,N2,...", None, False, None),
+        (("--support",), "support", None, None, "LO,HI", None, False, None),
+        _NULL,
+        (("--against",), "against", None, (0.25, 0.75), "T1,T2", None, False,
+         "point pair for the contradiction proxy (default 0.25,0.75)"),
+        _TOL, *_OUTPUT,
+    ],
+    ("audit",): [_HELP, ((), "audit_command", "A...", None, None, {
+        "transform": "classify a scalar transformation",
+        "agreement": "rank-order agreement between statistics",
+        "difference": "difference comparison before/after -log",
+    }, True, None)],
+    ("audit", "transform"): [
+        _HELP,
+        (("--f",), "f", None, ("log", math.log), "SPEC", None, False,
+         "log, exp, f2c, c2f or affine:slope,intercept"),
+        (("--interval",), "interval", None, (49.0, 100.0), "LO,HI", None, False, None),
+        (("--unit",), "unit", None, 1.0, None, None, False, None),
+        (("--grid",), "grid", None, 64, None, None, False,
+         "classification grid size (default 64)"),
+        *_OUTPUT,
+    ],
+    ("audit", "agreement"): [
+        _HELP,
+        (("--min-n",), "min_n", None, 2, None, None, False, None),
+        (("--max-n",), "max_n", None, 30, None, None, False, None),
+        (("--kinds",), "kinds", None, ["neglogp", "abslogbf"], "K1,K2,...", None, False, None),
+        (("--max-witnesses",), "max_witnesses", None, None, None, None, False,
+         "cap on emitted discordant-pair rows (default: all)"),
+        *_OUTPUT,
+    ],
+    ("audit", "difference"): [
+        _HELP,
+        (("--p-values",), "p_values", None, (0.05, 0.04, 0.001), "P1,P2,P3", None, False, None),
+        *_OUTPUT,
+    ],
+}
+
+
+class TestParser:
+    def test_every_parser_and_action_in_order(self):
+        parsers = dict(_parsers(build_parser()))
+        assert list(parsers) == list(_ACTIONS)
+        for prefix, parser in parsers.items():
+            assert _action_table(parser) == _ACTIONS[prefix], prefix
+
+    def test_each_leaf_reports_usage_as_itself(self):
+        for prefix, parser in _parsers(build_parser()):
+            leaf = _subparsers(parser) is None
+            assert (parser.get_default("parser") is parser) == leaf, prefix
+            assert (parser.get_default("handler") is not None) == leaf, prefix
+
+
+# The README's contract, over argv drawn from the parser's own actions.
+_LEAVES = [(prefix, parser) for prefix, parser in _parsers(build_parser())
+           if _subparsers(parser) is None]
+_EDGE_NUMBERS = ("0", "5e-324", "1e-300", "1e7", "-1", "nan", "inf",
+                 "0.3", "0.30000000000000004", "0.5", "2", "10")
+
+
+def _numbers(low, high=None):
+    return st.lists(st.sampled_from(_EDGE_NUMBERS), min_size=low,
+                    max_size=high or low).map(",".join)
+
+
+def _prefixed(words, prefix):
+    return st.one_of(st.sampled_from(words), _numbers(2).map(prefix.__add__))
+
+
+# A value of the shape each metavar names; the numbers come from the edge pool.
+_VALUES = {
+    None: _numbers(1), "B": _numbers(1), "LO,HI": _numbers(2), "T1,T2": _numbers(2),
+    "P1,P2,P3": _numbers(3), "N1,N2,...": _numbers(1, 3),
+    "K1,K2,...": st.lists(st.sampled_from(EVIDENCE_KINDS), min_size=1, max_size=2).map(",".join),
+    "PRIOR": _prefixed(("uniform",), "beta:"),
+    "SPEC": _prefixed(("log", "exp", "f2c", "c2f"), "affine:"),
+}
+
+
+def _above(text, limit, convert):
+    """Whether text reads, as its flag's type reads it, as a finite number above limit."""
+    try:
+        return limit < convert(text) < math.inf
+    except ValueError:
+        return False
+
+
+def _left_out(argv):
+    """The only inputs the contract property does not run, both for their cost:
+    an exact p-value past n = 1e4 sums over n-bit integers, and a --grid above
+    1e5 builds that many points (no value in the pool reaches it)."""
+    given = dict(token.partition("=")[::2] for token in argv if token.startswith("--"))
+    if _above(given.get("--grid", "0"), 1e5, int):
+        return True
+    kinds = given.get("--kinds", "" if "--bf" in given else "pvalue").split(",")
+    return (argv[0] == "compute" and given.get("--mode", EXACT) == EXACT
+            and _above(given.get("--n", "0"), 1e4, float)
+            and bool({"pvalue", "neglogp"} & set(kinds)))
+
+
+def _has_error_cell(text, argv):
+    if "--format=jsonl" in argv:
+        rows = [json.loads(line) for line in text.splitlines()]
+    else:
+        rows = parse_csv(text)[1] if text else []
+    return any(row.get("error") for row in rows)
+
+
+class TestContract:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_every_argv_exits_zero_one_or_two_as_the_readme_says(self, data, tmp_path_factory):
+        prefix, leaf = data.draw(st.sampled_from(_LEAVES))
+        out_dir = tmp_path_factory.mktemp("out")
+        paths = [out_dir / "rows.csv", out_dir, out_dir / "missing" / "rows.csv"]
+        argv = list(prefix)
+        for action in leaf._actions:
+            if not action.option_strings and (action.required or data.draw(st.booleans())):
+                argv.append(data.draw(st.sampled_from(action.choices)))
+        optional = [a for a in leaf._actions if a.option_strings and not a.required]
+        chosen = data.draw(st.lists(st.sampled_from(optional), max_size=3, unique=True))
+        for action in [a for a in leaf._actions if a.required and a.option_strings] + chosen:
+            flag = action.option_strings[-1]
+            if action.nargs == 0:
+                argv.append(flag)
+                continue
+            values = (st.sampled_from(action.choices) if action.choices
+                      else st.sampled_from(paths).map(str) if action.metavar == "PATH"
+                      else _VALUES[action.metavar])
+            argv.append(f"{flag}={data.draw(values)}")
+        assume(not _left_out(argv))
+
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                status = main(argv)
+            except SystemExit as exc:  # no other exception may leave main
+                status = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        assert status in (0, 1, 2), argv
+        if status == 2:
+            assert err.startswith(f"usage: evlab {' '.join(prefix)} "), (argv, err)
+        elif status == 1:
+            file = paths[0]
+            written = file.read_text(encoding="utf-8") if file.is_file() else out
+            error_lines = [line for line in err.splitlines() if line.startswith("evlab: error:")]
+            assert len(error_lines) == 1 or _has_error_cell(written, argv), (argv, err)

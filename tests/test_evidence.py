@@ -632,7 +632,7 @@ class TestComputeEvidence:
 
     def test_missing_pieces_rejected(self):
         data = BinomialOutcome(4, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # the null is a required keyword
             compute_evidence("pvalue", data)
         with pytest.raises(ValueError):
             compute_evidence("logbf", data, null=FAIR)

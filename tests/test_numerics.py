@@ -271,3 +271,10 @@ def test_linspace():
     assert linspace(2.0, 2.0, 1) == [2.0]
     with pytest.raises(ValueError):
         linspace(0.0, 1.0, 0)
+
+
+@pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (-1.7e308, 0.5e308)])
+def test_linspace_width_that_overflows_is_an_error(lo, hi):
+    # hi - lo is inf, and the grid would hold inf and nan
+    with pytest.raises(ValueError, match=r"the width of \[.*\] overflows a double"):
+        linspace(lo, hi, 3)

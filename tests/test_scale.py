@@ -225,6 +225,15 @@ class TestUnitDistortion:
         with pytest.raises(ValueError, match="a unit step of f is not finite"):
             unit_distortion(lambda x: 1e300 * x, (1e7, 1e9), 1.0)
 
+    @pytest.mark.parametrize("f, interval", [
+        (lambda x: x, (1e17, 1e18)),  # the spacing is 16 to 128 there
+        (lambda x: x * 9.0 / 5.0 + 32.0, (1e16, 2e16)),  # 2 to 4: x + 1 rounds to x at ties
+    ])
+    def test_a_unit_below_the_double_spacing_is_an_error(self, f, interval):
+        # every step x + 1 - x would be 0 or a multiple of the spacing, not the unit
+        with pytest.raises(ValueError, match=r"unit 1 is below the double spacing on \("):
+            unit_distortion(f, interval, 1.0)
+
     def test_interval_too_small(self):
         with pytest.raises(ValueError):
             unit_distortion(math.log, (10.0, 11.0), 1.0)
