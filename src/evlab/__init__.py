@@ -30,8 +30,8 @@ _HOMES = {
     ), "numerics"),
     **dict.fromkeys((
         "TrPResult", "NoSignChangeError", "trp_simple", "trp_composite",
-        "trp_composite_two_sided", "against_both", "zero_path", "ZeroPathConfig",
-        "ZeroPathPoint", "ZeroPathReport", "default_config", "SHRINK_N", "RIDE_TRP",
+        "trp_composite_two_sided", "against_both", "zero_path", "ZeroPathPoint",
+        "SHRINK_N", "RIDE_TRP",
     ), "transition"),
     **dict.fromkeys((
         "ScaleType", "TransformationAudit", "classify_transformation", "unit_distortion",

@@ -132,7 +132,8 @@ _positive = _checked(float, lambda value: value > 0.0, "a positive finite number
 _log_base = _checked(float, lambda value: value > 0.0 and value != 1.0,
                      "a positive finite log base other than 1")
 _non_negative_int = _checked(int, lambda value: value >= 0, "a non-negative integer")
-_positive_int = _checked(int, lambda value: value >= 1, "a positive integer")
+# A grid's points are all built at once, so its size is bounded.
+_grid_size = _checked(int, lambda value: 1 <= value <= 10**6, "an integer from 1 to 1000000")
 
 
 def _float_list(text: str) -> list[float]:
@@ -332,19 +333,14 @@ def cmd_trp(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
 
 def cmd_zero_paths(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
     kinds = transition.PATH_KINDS if args.both else (args.path,)
-    # --y and --against default to the library's own values, which both paths
-    # share; the shared --null and --tol defaults equal the library's.
-    given = {"h2": PointHypothesis(args.null), "against_pair": args.against,
-             "y_fixed": args.y, "tol": args.tol}
-    if args.support is not None:
-        given["h1"] = CompositeHypothesis(args.support)
-    if args.n is not None:
-        given["n_values"] = tuple(args.n)
-
+    # --n and --support left out take each path's own default
+    h1 = None if args.support is None else CompositeHypothesis(args.support)
     rows = []
     for kind in kinds:
-        report = transition.zero_path(kind, transition.default_config(kind)._replace(**given))
-        rows.extend({"path": kind, **point._asdict()} for point in report.trace)
+        trace = transition.zero_path(
+            kind, h1=h1, h2=PointHypothesis(args.null), n_values=args.n,
+            y_fixed=args.y, against_pair=args.against, tol=args.tol)
+        rows.extend({"path": kind, **point._asdict()} for point in trace)
     return ["path", "n", "y", "log_bf", "against_both"], rows, 0
 
 
@@ -454,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("variant", choices=("a", "b"),
                    help="a: two point hypotheses; b: one-sided composite vs point null")
     p.add_argument("--n", type=_n_list, default=[10.0, 100.0], metavar="N1,N2,...")
-    p.add_argument("--grid", type=_positive_int, default=99, help="curve points per n (default 99)")
+    p.add_argument("--grid", type=_grid_size, default=99, help="curve points per n (default 99)")
     _add_shared_flags(p, "--theta1", "--theta2")
     p.add_argument("--support", type=_support, default=(0.0, 0.5), metavar="LO,HI")
     _add_shared_flags(p, "--null", "--tol")
@@ -475,15 +471,14 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("path", nargs="?", choices=transition.PATH_KINDS, default=None)
     route.add_argument("--both", action="store_true",
                        help="emit both traces, shrink-n then ride-trp")
-    shared = transition.default_config(transition.SHRINK_N)  # values both paths share
-    p.add_argument("--y", type=_open_unit, default=shared.y_fixed,
-                   help=f"fixed observed proportion for shrink-n (default {shared.y_fixed:g})")
+    p.add_argument("--y", type=_open_unit, default=transition.Y_FIXED,
+                   help=f"fixed observed proportion for shrink-n (default {transition.Y_FIXED:g})")
     p.add_argument("--n", type=_n_list, default=None, metavar="N1,N2,...")
     p.add_argument("--support", type=_support, default=None, metavar="LO,HI")
     _add_shared_flags(p, "--null")
-    p.add_argument("--against", type=_numbers(2), default=shared.against_pair, metavar="T1,T2",
-                   help="point pair for the contradiction proxy (default %g,%g)"
-                        % shared.against_pair)
+    p.add_argument("--against", type=_numbers(2), default=transition.AGAINST_PAIR,
+                   metavar="T1,T2", help="point pair for the contradiction proxy (default %g,%g)"
+                                         % transition.AGAINST_PAIR)
     _add_shared_flags(p, "--tol")
     _finish_leaf(p, cmd_zero_paths)
 
@@ -495,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SPEC", help="log, exp, f2c, c2f or affine:slope,intercept")
     q.add_argument("--interval", type=_numbers(2), default=(49.0, 100.0), metavar="LO,HI")
     q.add_argument("--unit", type=_finite, default=1.0)
-    q.add_argument("--grid", type=_positive_int, default=64,
+    q.add_argument("--grid", type=_grid_size, default=64,
                    help="classification grid size (default 64)")
     _finish_leaf(q, cmd_audit_transform)
 

@@ -14,7 +14,7 @@ strongly the data contradict a pair of point hypotheses.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .evidence import (
     CONTINUOUS,
@@ -183,77 +183,60 @@ class ZeroPathPoint(NamedTuple):
     against_both: float
 
 
-class ZeroPathReport(NamedTuple):
-    """Trace of one route to log BF = 0; trace[-1] is where it ends."""
-
-    path_kind: str
-    trace: tuple[ZeroPathPoint, ...]
-
-
-class ZeroPathConfig(NamedTuple):
-    """Setup for a zero-path trace.
-
-    h1/h2 define the Bayes factor being traced; against_pair is the pair of
-    point hypotheses the contradiction proxy is evaluated against. For the
-    shrink-n path y_fixed is held constant while n decreases toward 0; for
-    the ride-trp path y is re-solved to the transition point at each n.
-    """
-
-    h1: CompositeHypothesis
-    h2: PointHypothesis = PointHypothesis(0.5)
-    against_pair: tuple[float, float] = (0.25, 0.75)
-    y_fixed: float = 0.9
-    n_values: tuple[float, ...] = ()
-    tol: float = DEFAULT_TOL
+Y_FIXED = 0.9
+AGAINST_PAIR = (0.25, 0.75)
+# Each path's own prior and n values: shrink-n, uniform on [1/2, 1] with n
+# falling geometrically toward 0; ride-trp, uniform on [0, 1/2] with n growing.
+_PATH_DEFAULTS = {
+    SHRINK_N: (uniform_prior(0.5, 1.0), (8.0, 4.0, 2.0, 1.0, 0.5, 0.1)),
+    RIDE_TRP: (uniform_prior(0.0, 0.5), (10.0, 100.0, 1000.0)),
+}
 
 
-def default_config(path_kind: str) -> ZeroPathConfig:
-    """The default setup of a path kind.
+def zero_path(
+    path_kind: str,
+    *,
+    h1: CompositeHypothesis | None = None,
+    h2: PointHypothesis = PointHypothesis(0.5),
+    n_values: Sequence[float] | None = None,
+    y_fixed: float = Y_FIXED,
+    against_pair: tuple[float, float] = AGAINST_PAIR,
+    tol: float = DEFAULT_TOL,
+) -> tuple[ZeroPathPoint, ...]:
+    """Trace one of the two routes to log BF = 0; the last point is where it ends.
 
-    shrink-n: uniform prior on [1/2, 1] against theta0 = 1/2, observed
-    proportion held at 0.9 while n falls geometrically toward 0.
-    ride-trp: uniform prior on [0, 1/2] against theta0 = 1/2, riding the
-    drifting transition point as n grows.
-    """
-    if path_kind == SHRINK_N:
-        return ZeroPathConfig(h1=uniform_prior(0.5, 1.0), n_values=(8.0, 4.0, 2.0, 1.0, 0.5, 0.1))
-    if path_kind == RIDE_TRP:
-        return ZeroPathConfig(h1=uniform_prior(0.0, 0.5), n_values=(10.0, 100.0, 1000.0))
-    raise ValueError(f"path kind must be one of {PATH_KINDS}, got {path_kind!r}")
-
-
-def zero_path(path_kind: str, config: ZeroPathConfig | None = None) -> ZeroPathReport:
-    """Trace one of the two routes to log BF = 0.
-
-    shrink-n: hold y fixed and walk n down toward 0; both the log Bayes
+    shrink-n: hold y at y_fixed and walk n down toward 0; both the log Bayes
     factor and the contradiction proxy decay to 0.
 
-    ride-trp: walk n up, setting y to the transition point at each step;
-    the log Bayes factor is pinned at 0 (within the root residual) while
-    the contradiction proxy keeps growing. The two traces end at the same
-    log BF but at very different states.
+    ride-trp: walk n up, setting y to the transition point at each step
+    (root-found to tol); the log Bayes factor is pinned at 0 (within the root
+    residual) while the contradiction proxy keeps growing. The two traces end
+    at the same log BF but at very different states.
+
+    h1/h2 define the Bayes factor being traced; against_pair is the pair of
+    point hypotheses the contradiction proxy is evaluated against. An h1 or
+    n_values left as None takes the path's own default.
     """
-    default = default_config(path_kind)  # the one check of the path kind
-    config = default if config is None else config
-    ns = config.n_values
+    if path_kind not in _PATH_DEFAULTS:
+        raise ValueError(f"path kind must be one of {PATH_KINDS}, got {path_kind!r}")
+    default_h1, default_ns = _PATH_DEFAULTS[path_kind]
+    h1 = default_h1 if h1 is None else h1
+    ns = default_ns if n_values is None else n_values
     if not ns:
         raise ValueError("zero path requires at least one n value")
     if path_kind == SHRINK_N:
         if any(b >= a for a, b in zip(ns, ns[1:])):
             raise ValueError(f"shrink-n requires strictly decreasing n values, got {list(ns)}")
-        if not 0.0 < config.y_fixed < 1.0:
-            raise ValueError(f"fixed y must be in (0,1), got {config.y_fixed}")
+        if not 0.0 < y_fixed < 1.0:
+            raise ValueError(f"fixed y must be in (0,1), got {y_fixed}")
     elif any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError(f"ride-trp requires strictly increasing n values, got {list(ns)}")
 
-    t1, t2 = config.against_pair
+    t1, t2 = against_pair
     points = []
     for n in ns:
-        if path_kind == SHRINK_N:
-            y = config.y_fixed
-        else:
-            y = trp_composite(n, config.h1, config.h2, config.tol).trp_y
+        y = y_fixed if path_kind == SHRINK_N else trp_composite(n, h1, h2, tol).trp_y
         data = BinomialOutcome(n, y * n, CONTINUOUS)
-        points.append(ZeroPathPoint(n=n, y=y, log_bf=log_bf(data, config.h1, config.h2),
+        points.append(ZeroPathPoint(n=n, y=y, log_bf=log_bf(data, h1, h2),
                                     against_both=against_both(data, t1, t2)))
-    return ZeroPathReport(path_kind=path_kind, trace=tuple(points))
+    return tuple(points)

@@ -99,15 +99,15 @@ def test_criterion_04_one_sided_transition_drifts_toward_the_null(report):
 def test_criterion_05_two_routes_to_zero_have_different_endpoints(report):
     shrink = zero_path(SHRINK_N)
     ride = zero_path(RIDE_TRP)
-    shrink_mags = [abs(p.log_bf) for p in shrink.trace]
-    shrink_proxies = [p.against_both for p in shrink.trace]
-    ride_proxies = [p.against_both for p in ride.trace]
+    shrink_mags = [abs(p.log_bf) for p in shrink]
+    shrink_proxies = [p.against_both for p in shrink]
+    ride_proxies = [p.against_both for p in ride]
     ok = (
         all(b < a for a, b in zip(shrink_mags, shrink_mags[1:]))
         and shrink_mags[-1] < 0.05
         and all(b < a for a, b in zip(shrink_proxies, shrink_proxies[1:]))
         and shrink_proxies[-1] < 0.01
-        and all(abs(p.log_bf) < 1e-8 for p in ride.trace)
+        and all(abs(p.log_bf) < 1e-8 for p in ride)
         and all(b > a for a, b in zip(ride_proxies, ride_proxies[1:]))
         and ride_proxies[-1] >= 10.0 * ride_proxies[0]
     )

@@ -415,6 +415,19 @@ class TestNonFiniteInput:
         _, rows = parse_csv(out)
         assert [r["row_type"] for r in rows] == ["curve", "trp"]
 
+    @pytest.mark.parametrize("argv", [
+        ["figure1", "a", "--n", "10", "--grid", "100000000"],
+        ["audit", "transform", "--grid", "9007199254740993"],  # 2**53 + 1
+    ])
+    def test_grid_above_a_million_points_is_a_usage_error(self, capsys, monkeypatch, argv):
+        # rejected as the arguments are parsed, before any point is built
+        monkeypatch.setattr(cli, "linspace", None)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument --grid: expected an integer from 1 to 1000000, got '{argv[-1]}'" in (
+            capsys.readouterr().err)
+
 
 class TestHandlerUsageError:
     @pytest.mark.parametrize("argv, message", [

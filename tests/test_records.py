@@ -14,18 +14,10 @@ from evlab.scale import (
     outcome_grid,
     rank_order_agreement,
 )
-from evlab.transition import (
-    SHRINK_N,
-    TrPResult,
-    ZeroPathConfig,
-    ZeroPathPoint,
-    default_config,
-    zero_path,
-)
+from evlab.transition import TrPResult, ZeroPathPoint
 
 DATA = BinomialOutcome(10, 3)
 NULL = PointHypothesis(0.5)
-SHRINK = zero_path(SHRINK_N)
 
 
 def _records():
@@ -37,8 +29,6 @@ def _records():
         EvidenceValue("pvalue", 0.34375),
         TrPResult(10.0, 0.5, 0.0, 0.0),
         ZeroPathPoint(1.0, 0.9, 0.1, 0.2),
-        SHRINK,
-        default_config(SHRINK_N),
         TransformationAudit(True, True, True),
         DiscordantPair(DATA, BinomialOutcome(10, 4), "neglogp", "abslogbf", (1, 2), (2, 1)),
         AgreementConfig(),
@@ -135,15 +125,3 @@ def test_records_behave_as_tuples():
     assert hash(DATA) == hash((10, 3, "exact"))
     assert repr(DATA) == "BinomialOutcome(n=10, k=3, mode='exact')"
     assert DATA.y == 0.3
-
-
-def test_zero_path_config_replace_keeps_other_fields():
-    config = default_config(SHRINK_N)
-    changed = config._replace(y_fixed=0.8, n_values=(2.0, 1.0))
-    assert (changed.y_fixed, changed.n_values) == (0.8, (2.0, 1.0))
-    assert changed.h1 == config.h1
-    assert changed.h2 == config.h2 == PointHypothesis(0.5)
-    assert changed.against_pair == config.against_pair
-    assert changed.tol == config.tol
-    assert type(changed) is ZeroPathConfig
-    assert config.y_fixed == 0.9

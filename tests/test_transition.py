@@ -17,16 +17,14 @@ from evlab.evidence import (
     log_slr,
     uniform_prior,
 )
-from evlab.numerics import find_root
+from evlab.numerics import DEFAULT_TOL, find_root
 from evlab.transition import (
     RESIDUAL_LIMIT,
     RIDE_TRP,
     SHRINK_N,
     NoSignChangeError,
     TrPResult,
-    ZeroPathConfig,
     against_both,
-    default_config,
     trp_composite,
     trp_composite_two_sided,
     trp_simple,
@@ -236,14 +234,13 @@ class TestAgainstBoth:
 
 class TestZeroPath:
     def test_shrink_n_defaults(self):
-        report = zero_path(SHRINK_N)
-        assert report.path_kind == SHRINK_N
-        assert [p.n for p in report.trace] == [8.0, 4.0, 2.0, 1.0, 0.5, 0.1]
-        assert all(p.y == 0.9 for p in report.trace)
-        magnitudes = [abs(p.log_bf) for p in report.trace]
+        trace = zero_path(SHRINK_N)
+        assert [p.n for p in trace] == [8.0, 4.0, 2.0, 1.0, 0.5, 0.1]
+        assert all(p.y == 0.9 for p in trace)
+        magnitudes = [abs(p.log_bf) for p in trace]
         assert all(m2 < m1 for m1, m2 in zip(magnitudes, magnitudes[1:]))
         assert magnitudes[-1] < 0.05
-        proxies = [p.against_both for p in report.trace]
+        proxies = [p.against_both for p in trace]
         assert all(a2 < a1 for a1, a2 in zip(proxies, proxies[1:]))
         assert proxies[-1] < 0.01
 
@@ -256,12 +253,10 @@ class TestZeroPath:
         # 1e-9, so 2n at its end stays far above the rounding of log BF's
         # terms of size 1 (about 3e-15).
         halvings = max(40, math.ceil(math.log2(n0 / 1e-9)))
-        config = default_config(SHRINK_N)._replace(
-            y_fixed=y, n_values=tuple(n0 / 2**j for j in range(halvings + 1))
-        )
-        report = zero_path(SHRINK_N, config)
-        assert all(point.against_both <= point.n for point in report.trace)
-        last = report.trace[-1]
+        trace = zero_path(SHRINK_N, y_fixed=y,
+                          n_values=tuple(n0 / 2**j for j in range(halvings + 1)))
+        assert all(point.against_both <= point.n for point in trace)
+        last = trace[-1]
         assert last.n < 1e-9
         assert abs(last.log_bf) <= 2.0 * last.n
 
@@ -271,8 +266,19 @@ class TestZeroPath:
     @example(exponent=6.964008427231405)  # a tol-wide bracket left residual 1.03e-8
     def test_ride_trp_stays_at_zero_up_to_ten_million(self, exponent):
         n = 10.0**exponent
-        report = zero_path(RIDE_TRP, default_config(RIDE_TRP)._replace(n_values=(n,)))
-        assert abs(report.trace[0].log_bf) <= RESIDUAL_LIMIT
+        (point,) = zero_path(RIDE_TRP, n_values=(n,))
+        assert abs(point.log_bf) <= RESIDUAL_LIMIT
+
+    @settings(max_examples=200, deadline=None)
+    @given(width=st.floats(0.1, 0.5), above=st.booleans(), exponent=st.floats(0.0, 5.0))
+    def test_ride_trp_stays_at_zero_on_one_sided_supports(self, width, above, exponent):
+        # The trp-sweep benchmark's domain: one support edge on the null 1/2,
+        # the other 0.1 to 0.5 away on either side, n log-uniform in [1, 1e5].
+        support = (0.5, 0.5 + width) if above else (0.5 - width, 0.5)
+        (point,) = zero_path(RIDE_TRP, h1=CompositeHypothesis(support),
+                             n_values=(10.0**exponent,))
+        assert abs(point.log_bf) <= RESIDUAL_LIMIT
+        assert (point.y > 0.5) if above else (point.y < 0.5)
 
     @settings(max_examples=25, deadline=None)
     @given(exponent=st.floats(1.0, 7.0))
@@ -289,16 +295,15 @@ class TestZeroPath:
             assert below * above < 0.0, (h1, root)
 
     def test_shrink_n_golden_trace(self):
-        report = zero_path(SHRINK_N)
         golden = [2.282933309, 1.076476708, 0.518136073, 0.253532856, 0.125319850, 0.024826631]
-        for point, expected in zip(report.trace, golden):
+        for point, expected in zip(zero_path(SHRINK_N), golden):
             assert point.log_bf == pytest.approx(expected, abs=1e-8)
 
     def test_ride_trp_defaults(self):
-        report = zero_path(RIDE_TRP)
-        assert [p.n for p in report.trace] == [10.0, 100.0, 1000.0]
-        assert all(abs(p.log_bf) <= 1e-8 for p in report.trace)
-        proxies = [p.against_both for p in report.trace]
+        trace = zero_path(RIDE_TRP)
+        assert [p.n for p in trace] == [10.0, 100.0, 1000.0]
+        assert all(abs(p.log_bf) <= 1e-8 for p in trace)
+        proxies = [p.against_both for p in trace]
         assert all(a2 > a1 for a1, a2 in zip(proxies, proxies[1:]))
         assert proxies[-1] >= 10.0 * proxies[0]
         assert proxies[0] == pytest.approx(0.1933009, abs=1e-6)
@@ -309,54 +314,52 @@ class TestZeroPath:
         # contradiction proxy to 0
         shrink = zero_path(SHRINK_N)
         ride = zero_path(RIDE_TRP)
-        assert abs(ride.trace[-1].log_bf) <= 1e-8
-        assert abs(shrink.trace[-1].log_bf) < 0.05
-        assert shrink.trace[-1].against_both < 0.01
-        assert ride.trace[-1].against_both > 100.0
+        assert abs(ride[-1].log_bf) <= 1e-8
+        assert abs(shrink[-1].log_bf) < 0.05
+        assert shrink[-1].against_both < 0.01
+        assert ride[-1].against_both > 100.0
 
     def test_single_row_trace(self):
-        config = ZeroPathConfig(
-            h1=uniform_prior(0.5, 1.0), y_fixed=0.9, n_values=(2.0,)
-        )
-        report = zero_path(SHRINK_N, config)
-        assert len(report.trace) == 1
+        trace = zero_path(SHRINK_N, h1=uniform_prior(0.5, 1.0), y_fixed=0.9, n_values=(2.0,))
+        assert len(trace) == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
             zero_path("sideways")
         with pytest.raises(ValueError):
-            zero_path("sideways", default_config(SHRINK_N))
+            zero_path("sideways", h1=uniform_prior(0.5, 1.0), n_values=(8.0, 4.0))
         with pytest.raises(ValueError):
-            zero_path(SHRINK_N, ZeroPathConfig(h1=uniform_prior(), n_values=(1.0, 2.0)))
+            zero_path(SHRINK_N, h1=uniform_prior(), n_values=(1.0, 2.0))
         with pytest.raises(ValueError):
-            zero_path(RIDE_TRP, ZeroPathConfig(h1=ONE_SIDED, n_values=(10.0, 5.0)))
+            zero_path(RIDE_TRP, h1=ONE_SIDED, n_values=(10.0, 5.0))
         with pytest.raises(ValueError):
-            zero_path(SHRINK_N, ZeroPathConfig(h1=uniform_prior(), n_values=()))
+            zero_path(SHRINK_N, h1=uniform_prior(), n_values=())
         with pytest.raises(ValueError):
-            zero_path(
-                SHRINK_N,
-                ZeroPathConfig(h1=uniform_prior(), y_fixed=1.5, n_values=(2.0, 1.0)),
-            )
+            zero_path(SHRINK_N, h1=uniform_prior(), y_fixed=1.5, n_values=(2.0, 1.0))
 
     def test_ride_trace_log_bf_is_root_residual(self):
-        config = default_config(RIDE_TRP)
-        report = zero_path(RIDE_TRP, config)
-        for point in report.trace:
+        for point in zero_path(RIDE_TRP):
             recomputed = log_bf(
                 BinomialOutcome(point.n, point.y * point.n, CONTINUOUS),
-                config.h1,
-                config.h2,
+                ONE_SIDED,
+                FAIR,
             )
             assert point.log_bf == recomputed
 
-    def test_default_configs(self):
-        shrink = default_config(SHRINK_N)
-        assert shrink.h1.support == (0.5, 1.0)
-        assert shrink.y_fixed == 0.9
-        ride = default_config(RIDE_TRP)
-        assert ride.h1.support == (0.0, 0.5)
+    def test_settings_left_out_keep_the_path_defaults(self):
+        changed = zero_path(SHRINK_N, y_fixed=0.8, n_values=(2.0, 1.0))
+        assert [(p.n, p.y) for p in changed] == [(2.0, 0.8), (1.0, 0.8)]
+        assert changed == zero_path(
+            SHRINK_N, h1=uniform_prior(0.5, 1.0), h2=FAIR, n_values=(2.0, 1.0),
+            y_fixed=0.8, against_pair=(0.25, 0.75), tol=DEFAULT_TOL)
+
+    def test_path_defaults(self):
+        # each path's default prior is the one its trace is computed under
+        for kind, support in ((SHRINK_N, (0.5, 1.0)), (RIDE_TRP, (0.0, 0.5))):
+            assert zero_path(kind) == zero_path(kind, h1=uniform_prior(*support))
+        assert all(point.y == 0.9 for point in zero_path(SHRINK_N))
         with pytest.raises(ValueError, match="path kind must be one of"):
-            default_config("sideways")
+            zero_path("sideways")
 
 
 class TestTrPResultInvariants:
