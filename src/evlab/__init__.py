@@ -19,10 +19,9 @@ _HOMES = {
     **dict.fromkeys((
         "BinomialOutcome", "PointHypothesis", "CompositeHypothesis", "Hypothesis",
         "EvidenceValue", "EXACT", "CONTINUOUS", "EVIDENCE_KINDS", "LOG_SCALE_KINDS",
-        "uniform_prior", "binomial_log_pmf", "p_value_two_sided", "neg_log_p",
-        "log_mlr", "log_slr", "log_bf", "log_bf_irrelevant_data",
-        "support_label", "compute_evidence", "UnsupportedNullError",
-        "DegeneratePriorError",
+        "binomial_log_pmf", "p_value_two_sided", "neg_log_p", "log_mlr", "log_slr",
+        "log_bf", "log_bf_irrelevant_data", "support_label", "compute_evidence",
+        "UnsupportedNullError", "DegeneratePriorError",
     ), "evidence"),
     **dict.fromkeys((
         "log_gamma", "regularized_incomplete_beta",
@@ -34,10 +33,10 @@ _HOMES = {
         "SHRINK_N", "RIDE_TRP",
     ), "transition"),
     **dict.fromkeys((
-        "ScaleType", "TransformationAudit", "classify_transformation", "unit_distortion",
-        "permissible", "AgreementConfig", "AgreementReport", "DiscordantPair",
-        "rank_order_agreement", "outcome_grid", "DifferenceComparison",
-        "difference_comparison_demo", "DegenerateGridError",
+        "TransformationAudit", "classify_transformation", "unit_distortion",
+        "AgreementConfig", "AgreementReport", "DiscordantPair", "rank_order_agreement",
+        "outcome_grid", "DifferenceComparison", "difference_comparison_demo",
+        "DegenerateGridError",
     ), "scale"),
 }
 _SUBMODULES = ("cli", "evidence", "numerics", "scale", "transition")

@@ -281,7 +281,7 @@ def cmd_compute(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
     return ["kind", "n", "k", "value"], rows, 0
 
 
-def cmd_figure1(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
+def cmd_figure1(args: argparse.Namespace) -> tuple[list[str], Iterator[dict], int]:
     y_grid = linspace(_Y_MIN, _Y_MAX, args.grid)
     header = ["variant", "n", "y", "log_es", "abs_log_es", "side", "row_type"]
 
@@ -298,13 +298,15 @@ def cmd_figure1(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
         return {"variant": args.variant, "n": n, "y": y, "log_es": value,
                 "abs_log_es": abs(value), "side": side, "row_type": row_type}
 
-    rows = []
-    for n in args.n:
-        rows.extend(row(n, y, "curve") for y in y_grid)
-        trp_y = (transition.trp_simple(args.theta1, args.theta2) if args.variant == "a"
-                 else transition.trp_composite(n, h1, h2, args.tol).trp_y)
-        rows.append(row(n, trp_y, "trp"))
-    return header, rows, 0
+    def rows() -> Iterator[dict]:
+        # one-shot, so a second read (the tracer's) recomputes no curve or root
+        for n in args.n:
+            yield from (row(n, y, "curve") for y in y_grid)
+            trp_y = (transition.trp_simple(args.theta1, args.theta2) if args.variant == "a"
+                     else transition.trp_composite(n, h1, h2, args.tol).trp_y)
+            yield row(n, trp_y, "trp")
+
+    return header, rows(), 0
 
 
 def cmd_trp(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:

@@ -88,13 +88,6 @@ class BinomialOutcome(_BinomialOutcome):
                 )
         return tuple.__new__(cls, (n, k, mode))
 
-    @property
-    def y(self) -> float:
-        """Observed proportion k/n (undefined for n = 0)."""
-        if self.n == 0:
-            raise ValueError("observed proportion is undefined for n = 0")
-        return self.k / self.n
-
 
 class _PointHypothesis(NamedTuple):
     theta0: float
@@ -142,11 +135,6 @@ class CompositeHypothesis(_CompositeHypothesis):
 
 
 Hypothesis = Union[PointHypothesis, CompositeHypothesis]
-
-
-def uniform_prior(lo: float = 0.0, hi: float = 1.0) -> CompositeHypothesis:
-    """Composite hypothesis with a uniform prior on [lo, hi]."""
-    return CompositeHypothesis(support=(lo, hi), a=1.0, b=1.0)
 
 
 class EvidenceValue(NamedTuple):

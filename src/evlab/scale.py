@@ -15,7 +15,6 @@ import itertools
 import math
 import sys
 from bisect import bisect_right
-from enum import Enum
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .evidence import (
@@ -28,7 +27,6 @@ from .evidence import (
     SLR_KINDS,
     compute_evidence,
     exp_or_inf,
-    uniform_prior,
 )
 from .numerics import linspace
 
@@ -37,25 +35,21 @@ class DegenerateGridError(ValueError):
     """A sample grid too short or not strictly increasing."""
 
 
-class ScaleType(Enum):
-    ORDINAL = "ordinal"
-    INTERVAL = "interval"
-    RATIO = "ratio"
-    # Ratio-scale magnitude with a sign convention carrying direction.
-    SIGNED_RATIO = "signed-ratio"
-
-
 AFFINE_TOL = 1e-9  # distance from the chord an affine map may keep, per unit of value range
 DISTORTION_SAMPLES = 2048  # unit steps that unit_distortion compares
 
 
 class TransformationAudit(NamedTuple):
-    """Classification of a scalar transformation against the permissible families.
+    """Classification of a scalar transformation against the families scale types permit.
 
     order_preserving: strictly increasing on the probed grid, or affine.
+        Licenses the map on an ordinal scale.
     affine: an order-preserving linear map x -> s*x + c with s > 0 (every
         value lies on the chord through the two end values, to rounding).
+        Licenses the map on an interval scale.
     positive_scalar: affine with zero intercept.
+        Licenses the map on a ratio scale, and on the magnitude of a signed
+        ratio scale, whose sign convention lies outside the map.
     """
 
     order_preserving: bool
@@ -147,17 +141,6 @@ def unit_distortion(f: Callable[[float], float], interval: tuple[float, float], 
     return max(steps) / min_step
 
 
-def permissible(scale: ScaleType, audit: TransformationAudit) -> bool:
-    """Whether an audited transformation preserves meaning on the given scale type."""
-    if scale is ScaleType.ORDINAL:
-        return audit.order_preserving
-    if scale is ScaleType.INTERVAL:
-        return audit.affine
-    # Ratio and signed-ratio magnitudes admit only positive rescaling; the
-    # sign convention of a signed-ratio scale lives outside the magnitude map.
-    return audit.positive_scalar
-
-
 class DiscordantPair(NamedTuple):
     """Two outcomes whose rank order flips between two statistics."""
 
@@ -173,7 +156,7 @@ class AgreementConfig(NamedTuple):
     """Hypothesis setup under which every statistic kind is computed."""
 
     null: PointHypothesis = PointHypothesis(0.5)
-    alternative: CompositeHypothesis = uniform_prior()
+    alternative: CompositeHypothesis = CompositeHypothesis()
     slr_alternative: PointHypothesis = PointHypothesis(0.25)
 
     def alternative_for(self, kind: str) -> Hypothesis | None:

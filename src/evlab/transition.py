@@ -24,7 +24,6 @@ from .evidence import (
     log_bf,
     log_mlr,
     log_slr,
-    uniform_prior,
 )
 from .numerics import DEFAULT_TOL, RESIDUAL_LIMIT, InvalidBracketError, find_root
 
@@ -188,8 +187,8 @@ AGAINST_PAIR = (0.25, 0.75)
 # Each path's own prior and n values: shrink-n, uniform on [1/2, 1] with n
 # falling geometrically toward 0; ride-trp, uniform on [0, 1/2] with n growing.
 _PATH_DEFAULTS = {
-    SHRINK_N: (uniform_prior(0.5, 1.0), (8.0, 4.0, 2.0, 1.0, 0.5, 0.1)),
-    RIDE_TRP: (uniform_prior(0.0, 0.5), (10.0, 100.0, 1000.0)),
+    SHRINK_N: (CompositeHypothesis((0.5, 1.0)), (8.0, 4.0, 2.0, 1.0, 0.5, 0.1)),
+    RIDE_TRP: (CompositeHypothesis((0.0, 0.5)), (10.0, 100.0, 1000.0)),
 }
 
 

@@ -23,7 +23,7 @@ from evlab.evidence import (
     log_slr,
     neg_log_p,
     p_value_two_sided,
-    uniform_prior,
+    CompositeHypothesis,
 )
 from evlab.scale import outcome_grid, rank_order_agreement, unit_distortion
 from evlab.transition import RIDE_TRP, SHRINK_N, trp_composite, trp_simple, zero_path
@@ -82,7 +82,7 @@ def test_criterion_03_two_point_transition_is_half_for_every_n(report):
 
 def test_criterion_04_one_sided_transition_drifts_toward_the_null(report):
     start = time.perf_counter()
-    h1 = uniform_prior(0.0, 0.5)
+    h1 = CompositeHypothesis((0.0, 0.5))
     results = [trp_composite(float(n), h1, FAIR) for n in (10, 20, 40, 80, 160)]
     elapsed = time.perf_counter() - start
     values = [r.trp_y for r in results]
@@ -120,7 +120,7 @@ def test_criterion_06_closed_form_bayes_factor_matches_quadrature(report):
     worst = 0.0
     cases = 0
     for support in ((0.0, 1.0), (0.0, 0.5)):
-        h1 = uniform_prior(*support)
+        h1 = CompositeHypothesis(support)
         for n in range(0, 31):
             for k in range(n + 1):
                 got = log_bf(BinomialOutcome(n, k), h1, FAIR)
@@ -149,7 +149,7 @@ def test_criterion_08_rank_order_disagreement_with_witnesses(report):
     agreement = rank_order_agreement(outcome_grid(30), ["neglogp", "abslogbf"])
     ok = len(agreement.discordant_pairs) >= 1
     null = PointHypothesis(0.5)
-    alt = uniform_prior()
+    alt = CompositeHypothesis()
     for pair in agreement.discordant_pairs:
         xa = compute_evidence("neglogp", pair.outcome_a, null=null).value
         xb = compute_evidence("neglogp", pair.outcome_b, null=null).value

@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -204,12 +205,25 @@ class TestCompute:
         assert status == 0
         assert out == "kind,n,k,value\nlogbf,100,0,49.7483666108\n"
 
+    def test_posterior_mass_below_double_precision_is_an_error(self, capsys):
+        # the support is one double spacing wide: the prior keeps its mass there,
+        # the posterior at n = 100, k = 0 does not
+        status = main(["compute", "--n", "100", "--k", "0", "--bf", "uniform", "--support",
+                       "0.2,0.20000000000000004", "--kinds", "logbf"])
+        assert status == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "evlab: error: posterior mass is zero to double precision for n=100.0, k=0.0 "
+            "on support [0.2, 0.20000000000000004]\n")
+
     def test_huge_n_names_the_shapes_the_fraction_cannot_take(self, capsys):
         # past shapes of about 1e154 the continued fraction's products overflow;
         # it stops at its iteration bound and names the inputs
         assert main(["figure1", "b", "--n", "1e306", "--grid", "5"]) == 1
         captured = capsys.readouterr()
-        assert captured.out == ""
+        # rows are written as they are made, so the header is out before the failure
+        assert captured.out == "variant,n,y,log_es,abs_log_es,side,row_type\n"
         assert captured.err == (
             "evlab: error: incomplete beta continued fraction did not converge for "
             "a=9.9e+305, b=1.0000000000000001e+304, x=0.5 within 1048576 iterations\n")
@@ -248,6 +262,20 @@ class TestFigure1:
         assert len(markers) == 2
         assert markers[0] == pytest.approx(GOLDEN_TRP_N10, abs=1e-9)
         assert markers[0] < markers[1] < 0.5
+
+    def test_rows_are_not_held_in_memory(self, tmp_path):
+        # each row is written as it is made; holding the 40,002 rows took about 13 MB
+        path = tmp_path / "f.csv"
+        tracemalloc.start()
+        try:
+            status = main(["figure1", "a", "--n", "10,100", "--grid", "20000",
+                           "--out", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 0
+        assert peak < 5 * 2**20
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 1 + 2 * 20001
 
     @pytest.mark.parametrize("n, grid", [("1500", "50"), ("2000", "99"), ("100000", "200")])
     def test_variant_b_where_the_posterior_mass_underflows(self, capsys, n, grid):

@@ -25,7 +25,6 @@ from evlab.evidence import (
     neg_log_p,
     p_value_two_sided,
     support_label,
-    uniform_prior,
     _EXACT_BF_BITS,
     _exact_log_bf,
 )
@@ -56,8 +55,7 @@ class TestBinomialOutcome:
             BinomialOutcome(10, 4.5)
 
     def test_continuous_mode_accepts_reals(self):
-        data = BinomialOutcome(0.3, 0.12, CONTINUOUS)
-        assert data.y == pytest.approx(0.4)
+        assert BinomialOutcome(0.3, 0.12, CONTINUOUS) == (0.3, 0.12, CONTINUOUS)
 
     def test_bounds(self):
         with pytest.raises(ValueError):
@@ -70,10 +68,6 @@ class TestBinomialOutcome:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             BinomialOutcome(5, 2, "fuzzy")
-
-    def test_y_undefined_at_zero(self):
-        with pytest.raises(ValueError):
-            BinomialOutcome(0, 0).y
 
 
 class TestHypotheses:
@@ -94,8 +88,8 @@ class TestHypotheses:
     @pytest.mark.parametrize(
         "hypothesis",
         [
-            uniform_prior(),
-            uniform_prior(0.0, 0.5),
+            CompositeHypothesis(),
+            CompositeHypothesis((0.0, 0.5)),
             CompositeHypothesis(support=(0.2, 0.9), a=2.5, b=1.5),
             CompositeHypothesis(support=(0.1, 0.4), a=0.7, b=3.0),
         ],
@@ -358,23 +352,23 @@ class TestLogSlr:
 
 class TestLogBf:
     def test_no_data_exactly_zero(self):
-        assert log_bf(BinomialOutcome(0, 0), uniform_prior(), FAIR) == 0.0
-        assert log_bf(BinomialOutcome(0, 0), uniform_prior(0.0, 0.5), FAIR) == 0.0
+        assert log_bf(BinomialOutcome(0, 0), CompositeHypothesis(), FAIR) == 0.0
+        assert log_bf(BinomialOutcome(0, 0), CompositeHypothesis((0.0, 0.5)), FAIR) == 0.0
 
     def test_uniform_closed_form_examples(self):
         # marginal likelihood under the uniform prior is B(k+1, n-k+1)
         b66 = float(Fraction(math.factorial(5) ** 2, math.factorial(11)))
-        got = log_bf(BinomialOutcome(10, 5), uniform_prior(), FAIR)
+        got = log_bf(BinomialOutcome(10, 5), CompositeHypothesis(), FAIR)
         assert got == pytest.approx(math.log(b66 * 2**10), rel=1e-12)
         assert got == pytest.approx(-0.9959, abs=5e-4)
 
         b39 = float(Fraction(math.factorial(2) * math.factorial(8), math.factorial(11)))
-        got = log_bf(BinomialOutcome(10, 2), uniform_prior(), FAIR)
+        got = log_bf(BinomialOutcome(10, 2), CompositeHypothesis(), FAIR)
         assert got == pytest.approx(math.log(b39 * 2**10), rel=1e-12)
 
     def test_matches_quadrature_oracle(self):
         for support in ((0.0, 1.0), (0.0, 0.5)):
-            h1 = uniform_prior(*support)
+            h1 = CompositeHypothesis(support)
             for n in range(0, 13):
                 for k in range(n + 1):
                     got = log_bf(BinomialOutcome(n, k), h1, FAIR)
@@ -391,7 +385,7 @@ class TestLogBf:
     @pytest.mark.parametrize("n", [146, 400, 1000])
     def test_upper_tail_mass_does_not_cancel(self, n):
         # the marginal likelihood on [1/2, 1] is 2 * 2**-(n+1) / (n+1)
-        got = log_bf(BinomialOutcome(n, 0), uniform_prior(0.5, 1.0), FAIR)
+        got = log_bf(BinomialOutcome(n, 0), CompositeHypothesis((0.5, 1.0)), FAIR)
         assert got == pytest.approx(-math.log(n + 1), rel=1e-13)
 
     def test_point_point_dispatches_to_slr(self):
@@ -420,13 +414,13 @@ class TestLogBf:
         data = BinomialOutcome(5000.0, 4950.0, CONTINUOUS)
         posterior = incomplete_beta_fraction(0.5, 4951, 51)
         bf = beta_fraction(4951, 51) * posterior / Fraction(1, 2) * 2**5000
-        assert log_bf(data, uniform_prior(0.0, 0.5), FAIR) == pytest.approx(
+        assert log_bf(data, CompositeHypothesis((0.0, 0.5)), FAIR) == pytest.approx(
             log_fraction(bf), rel=1e-13)
 
     def test_mass_below_double_resolution_raises(self):
         # a support one double wide at 0.3, where ln I_U and ln I_L round equal
         lo = 0.3
-        h1 = uniform_prior(lo, math.nextafter(lo, 1.0))
+        h1 = CompositeHypothesis((lo, math.nextafter(lo, 1.0)))
         with pytest.raises(DegeneratePriorError, match="zero to double precision"):
             log_bf(BinomialOutcome(2, 1), h1, FAIR)
 
@@ -454,9 +448,9 @@ class TestExactLogBf:
         n_max = (_EXACT_BF_BITS - 2) // 2
         assert n_max == 511
         for m in range(n_max // 2 + 1):
-            odd_low = log_bf(BinomialOutcome(2 * m + 1, m), uniform_prior(), FAIR)
-            even = log_bf(BinomialOutcome(2 * m, m), uniform_prior(), FAIR)
-            odd_high = log_bf(BinomialOutcome(2 * m + 1, m + 1), uniform_prior(), FAIR)
+            odd_low = log_bf(BinomialOutcome(2 * m + 1, m), CompositeHypothesis(), FAIR)
+            even = log_bf(BinomialOutcome(2 * m, m), CompositeHypothesis(), FAIR)
+            odd_high = log_bf(BinomialOutcome(2 * m + 1, m + 1), CompositeHypothesis(), FAIR)
             assert odd_low == even == odd_high, m
 
     @settings(max_examples=300, deadline=None)
@@ -508,8 +502,8 @@ class TestExactLogBf:
     def test_tiny_theta0_takes_the_exact_path(self):
         # BF = 1 / (n+1) / 2**-(60n) = 2**896 at theta0 = 2**-60, about 5.3e269
         theta0 = 2.0**-60
-        got = log_bf(BinomialOutcome(15, 15), uniform_prior(), PointHypothesis(theta0))
-        assert _exact_log_bf(BinomialOutcome(15, 15), uniform_prior(), theta0) == got
+        got = log_bf(BinomialOutcome(15, 15), CompositeHypothesis(), PointHypothesis(theta0))
+        assert _exact_log_bf(BinomialOutcome(15, 15), CompositeHypothesis(), theta0) == got
         assert got == pytest.approx(15 * 60 * math.log(2.0) - math.log(16), rel=1e-15)
 
     @pytest.mark.parametrize("n, a, b, theta0, expected", [
@@ -528,10 +522,10 @@ class TestExactLogBf:
         assert abs(got - float_path) <= 1e-12 * abs(got)
 
     @pytest.mark.parametrize("data, h1", [
-        (BinomialOutcome(10.0, 3.0, CONTINUOUS), uniform_prior()),
-        (BinomialOutcome(10, 3), uniform_prior(0.0, 0.5)),
+        (BinomialOutcome(10.0, 3.0, CONTINUOUS), CompositeHypothesis()),
+        (BinomialOutcome(10, 3), CompositeHypothesis((0.0, 0.5))),
         (BinomialOutcome(10, 3), CompositeHypothesis((0.0, 1.0), 1.5, 1.0)),
-        (BinomialOutcome(512, 3), uniform_prior()),
+        (BinomialOutcome(512, 3), CompositeHypothesis()),
     ])
     def test_float_path_elsewhere(self, data, h1):
         assert _exact_log_bf(data, h1, 0.5) is None
@@ -573,7 +567,7 @@ def test_values_keep_the_exact_order(kind):
 class TestAbsLogBf:
     def test_values(self):
         def abs_log_bf(data):
-            return compute_evidence("abslogbf", data, null=FAIR, alternative=uniform_prior()).value
+            return compute_evidence("abslogbf", data, null=FAIR, alternative=CompositeHypothesis()).value
 
         assert abs_log_bf(BinomialOutcome(0, 0)) == 0.0
         got = abs_log_bf(BinomialOutcome(10, 5))
@@ -598,7 +592,7 @@ class TestIrrelevantData:
 class TestComputeEvidence:
     def test_each_kind_dispatches(self):
         data = BinomialOutcome(10, 8)
-        alt = uniform_prior()
+        alt = CompositeHypothesis()
         slr_alt = PointHypothesis(0.25)
         expected = {
             "pvalue": p_value_two_sided(data, FAIR),
@@ -617,7 +611,7 @@ class TestComputeEvidence:
             assert ev == (kind, expected[kind]), kind
 
     def test_value_range_invariants(self):
-        alt = uniform_prior()
+        alt = CompositeHypothesis()
         for n in range(1, 21):
             for k in range(n + 1):
                 data = BinomialOutcome(n, k)
@@ -637,7 +631,7 @@ class TestComputeEvidence:
         with pytest.raises(ValueError):
             compute_evidence("logbf", data, null=FAIR)
         with pytest.raises(ValueError):
-            compute_evidence("slr", data, null=FAIR, alternative=uniform_prior())
+            compute_evidence("slr", data, null=FAIR, alternative=CompositeHypothesis())
         with pytest.raises(ValueError):
             compute_evidence("entropy", data, null=FAIR)
 
@@ -646,7 +640,7 @@ class TestComputeEvidence:
         [
             ("mlr", BinomialOutcome(2000, 0), FAIR, None),
             ("slr", BinomialOutcome(5000, 100), PointHypothesis(0.75), PointHypothesis(0.25)),
-            ("bf", BinomialOutcome(100000, 40000), FAIR, uniform_prior()),
+            ("bf", BinomialOutcome(100000, 40000), FAIR, CompositeHypothesis()),
         ],
     )
     def test_ratio_kinds_overflow_to_inf(self, kind, data, null, alternative):

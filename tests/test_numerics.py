@@ -177,6 +177,11 @@ class TestIncompleteBeta:
                 assert got == pytest.approx(expected, rel=1e-13), (x, a, b)
         assert checked > 150
 
+    def test_direct_fraction_past_its_cap_keeps_the_complement(self):
+        # near x = 1 with a tiny b the direct fraction does not converge, so the
+        # complement's value stands; it is a log probability, whatever its digits
+        assert regularized_incomplete_beta(0.9995, 3.0, 1e-24, log=True) <= 0.0
+
     def test_iteration_cap_is_reported(self):
         # far above the mean a/(a+b) the raw continued fraction does not converge;
         # the message names the cap that was used, 300 + floor(sqrt(max(a, b)))

@@ -56,7 +56,7 @@ def test_cold_start_loads_neither_dataclasses_json_nor_scale():
 
 
 def test_every_export_resolves_lazily_to_its_home_object():
-    assert int(_fresh(LAZY_EXPORTS)) == len(evlab.__all__) == 49
+    assert int(_fresh(LAZY_EXPORTS)) == len(evlab.__all__) == 46
 
 
 def test_star_import_gives_every_export():

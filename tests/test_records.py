@@ -124,4 +124,3 @@ def test_records_behave_as_tuples():
     assert (n, k, mode) == (10, 3, "exact")
     assert hash(DATA) == hash((10, 3, "exact"))
     assert repr(DATA) == "BinomialOutcome(n=10, k=3, mode='exact')"
-    assert DATA.y == 0.3

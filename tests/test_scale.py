@@ -12,11 +12,9 @@ from evlab.scale import (
     AgreementConfig,
     DegenerateGridError,
     DiscordantPair,
-    ScaleType,
     classify_transformation,
     difference_comparison_demo,
     outcome_grid,
-    permissible,
     rank_order_agreement,
     unit_distortion,
     _kendall_tau_b,
@@ -247,17 +245,10 @@ class TestPermissible:
         scaling_audit = classify_transformation(lambda x: 2.0 * x, linspace(1.0, 10.0, 32))
         degrees_audit = classify_transformation(fahrenheit_to_celsius, linspace(0.0, 100.0, 32))
 
-        assert permissible(ScaleType.ORDINAL, ln_audit)
-        assert not permissible(ScaleType.INTERVAL, ln_audit)
-        assert not permissible(ScaleType.RATIO, ln_audit)
-
-        assert permissible(ScaleType.ORDINAL, scaling_audit)
-        assert permissible(ScaleType.INTERVAL, scaling_audit)
-        assert permissible(ScaleType.RATIO, scaling_audit)
-        assert permissible(ScaleType.SIGNED_RATIO, scaling_audit)
-
-        assert permissible(ScaleType.INTERVAL, degrees_audit)
-        assert not permissible(ScaleType.RATIO, degrees_audit)
+        # the three verdicts license a map on an ordinal, interval and ratio scale
+        assert ln_audit == (True, False, False)
+        assert scaling_audit == (True, True, True)
+        assert degrees_audit.affine and not degrees_audit.positive_scalar
 
 
 class TestRankOrderAgreement:
@@ -269,6 +260,7 @@ class TestRankOrderAgreement:
     def test_p_value_vs_bayes_factor_disagree(self):
         report = rank_order_agreement(outcome_grid(30), ["neglogp", "abslogbf"])
         assert len(report.discordant_pairs) == 21902
+        assert repr(report.discordant_pairs) == "<21902 discordant pairs>"
         tau = report.kendall_tau[("neglogp", "abslogbf")]
         assert -1.0 <= tau < 1.0
 
@@ -298,10 +290,10 @@ class TestRankOrderAgreement:
         grid = outcome_grid(12)
         kinds = ["neglogp", "abslogbf"]
         report = rank_order_agreement(grid, kinds)
-        from evlab.evidence import PointHypothesis, compute_evidence, uniform_prior
+        from evlab.evidence import CompositeHypothesis, PointHypothesis, compute_evidence
 
         null = PointHypothesis(0.5)
-        alt = uniform_prior()
+        alt = CompositeHypothesis()
         xs = [compute_evidence("neglogp", o, null=null).value for o in grid]
         ys = [compute_evidence("abslogbf", o, null=null, alternative=alt).value for o in grid]
         expected = stats.kendalltau(xs, ys, variant="b").statistic
@@ -310,10 +302,10 @@ class TestRankOrderAgreement:
         )
 
     def test_discordant_pairs_revalidate(self):
-        from evlab.evidence import PointHypothesis, compute_evidence, uniform_prior
+        from evlab.evidence import CompositeHypothesis, PointHypothesis, compute_evidence
 
         null = PointHypothesis(0.5)
-        alt = uniform_prior()
+        alt = CompositeHypothesis()
         report = rank_order_agreement(outcome_grid(15), ["neglogp", "abslogbf"])
         assert report.discordant_pairs
         for pair in report.discordant_pairs:
@@ -330,10 +322,10 @@ class TestRankOrderAgreement:
         # statistic leaves every tau against the others untouched
         grid = outcome_grid(10)
         report = rank_order_agreement(grid, ["neglogp", "abslogbf"])
-        from evlab.evidence import PointHypothesis, compute_evidence, uniform_prior
+        from evlab.evidence import CompositeHypothesis, PointHypothesis, compute_evidence
 
         null = PointHypothesis(0.5)
-        alt = uniform_prior()
+        alt = CompositeHypothesis()
         xs = [compute_evidence("neglogp", o, null=null).value for o in grid]
         ys = [compute_evidence("abslogbf", o, null=null, alternative=alt).value for o in grid]
         sy = pair_signs(ys)

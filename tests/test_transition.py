@@ -15,7 +15,6 @@ from evlab.evidence import (
     PointHypothesis,
     log_bf,
     log_slr,
-    uniform_prior,
 )
 from evlab.numerics import DEFAULT_TOL, find_root
 from evlab.transition import (
@@ -34,7 +33,7 @@ from evlab.transition import (
 from _oracles import quad_trp
 
 FAIR = PointHypothesis(0.5)
-ONE_SIDED = uniform_prior(0.0, 0.5)
+ONE_SIDED = CompositeHypothesis((0.0, 0.5))
 
 # Transition point of the one-sided setup at n=10, from bisection of the
 # quadrature-oracle log Bayes factor.
@@ -105,7 +104,7 @@ class TestTrpComposite:
     @pytest.mark.parametrize("support", [(0.0, 0.5), (0.1, 0.9)])
     def test_log_bf_at_the_roots_for_ten_million_trials(self, support):
         # against scipy's masses and a 50-digit ln B(k+1, n-k+1) + n ln 2
-        n, h1 = 1e7, uniform_prior(*support)
+        n, h1 = 1e7, CompositeHypothesis(support)
         if support[0] == 0.0:
             roots = [trp_composite(n, h1, FAIR)]
         else:
@@ -137,16 +136,16 @@ class TestTrpComposite:
         assert result.residual <= RESIDUAL_LIMIT and result.bracket_width <= tol
 
     def test_support_above_null_is_mirrored(self):
-        mirrored = trp_composite(10.0, uniform_prior(0.5, 1.0), FAIR)
+        mirrored = trp_composite(10.0, CompositeHypothesis((0.5, 1.0)), FAIR)
         assert mirrored.trp_y == pytest.approx(1.0 - GOLDEN_TRP_N10, abs=1e-9)
 
     def test_straddling_support_rejected(self):
         with pytest.raises(ValueError, match="straddles"):
-            trp_composite(10.0, uniform_prior(0.0, 1.0), FAIR)
+            trp_composite(10.0, CompositeHypothesis((0.0, 1.0)), FAIR)
 
     @pytest.mark.parametrize("solve, h1", [
         (trp_composite, ONE_SIDED),
-        (trp_composite_two_sided, uniform_prior()),
+        (trp_composite_two_sided, CompositeHypothesis()),
     ], ids=["one-sided", "two-sided"])
     def test_requires_positive_n(self, solve, h1):
         with pytest.raises(ValueError, match="trial count must be positive, got n=0.0"):
@@ -155,13 +154,13 @@ class TestTrpComposite:
     @pytest.mark.parametrize("support", [(0.5, 0.5000015), (0.4999985, 0.5)])
     def test_support_too_narrow_for_the_margin(self, support):
         with pytest.raises(ValueError, match=re.escape(f"support {support} leaves no room")) as info:
-            trp_composite(10.0, uniform_prior(*support), FAIR)
+            trp_composite(10.0, CompositeHypothesis(support), FAIR)
         assert "null 0.5" in str(info.value)
 
 
 class TestTrpCompositeTwoSided:
     def test_pair_brackets_the_null(self):
-        lower, upper = trp_composite_two_sided(10.0, uniform_prior(), FAIR)
+        lower, upper = trp_composite_two_sided(10.0, CompositeHypothesis(), FAIR)
         assert lower.trp_y == pytest.approx(0.2692132873, abs=1e-8)
         assert upper.trp_y == pytest.approx(0.7307867127, abs=1e-8)
         assert lower.trp_y < 0.5 < upper.trp_y
@@ -169,13 +168,13 @@ class TestTrpCompositeTwoSided:
 
     def test_symmetric_about_half(self):
         for n in (10.0, 20.0, 40.0):
-            lower, upper = trp_composite_two_sided(n, uniform_prior(), FAIR)
+            lower, upper = trp_composite_two_sided(n, CompositeHypothesis(), FAIR)
             assert lower.trp_y == pytest.approx(1.0 - upper.trp_y, abs=1e-9)
 
     def test_roots_approach_the_null(self):
         previous = 0.0
         for n in (10.0, 20.0, 40.0):
-            lower, _ = trp_composite_two_sided(n, uniform_prior(), FAIR)
+            lower, _ = trp_composite_two_sided(n, CompositeHypothesis(), FAIR)
             assert lower.trp_y > previous
             previous = lower.trp_y
 
@@ -185,11 +184,11 @@ class TestTrpCompositeTwoSided:
 
     def test_support_too_narrow_for_the_margin(self):
         with pytest.raises(ValueError, match=re.escape("support (0.4999995, 1.0) leaves no room")):
-            trp_composite_two_sided(10.0, uniform_prior(0.4999995, 1.0), FAIR)
+            trp_composite_two_sided(10.0, CompositeHypothesis((0.4999995, 1.0)), FAIR)
 
     def test_no_roots_for_tiny_n(self):
         with pytest.raises(NoSignChangeError):
-            trp_composite_two_sided(1.0, uniform_prior(), FAIR)
+            trp_composite_two_sided(1.0, CompositeHypothesis(), FAIR)
 
 
 class TestAgainstBoth:
@@ -320,22 +319,23 @@ class TestZeroPath:
         assert ride[-1].against_both > 100.0
 
     def test_single_row_trace(self):
-        trace = zero_path(SHRINK_N, h1=uniform_prior(0.5, 1.0), y_fixed=0.9, n_values=(2.0,))
+        trace = zero_path(SHRINK_N, h1=CompositeHypothesis((0.5, 1.0)), y_fixed=0.9,
+                          n_values=(2.0,))
         assert len(trace) == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
             zero_path("sideways")
         with pytest.raises(ValueError):
-            zero_path("sideways", h1=uniform_prior(0.5, 1.0), n_values=(8.0, 4.0))
+            zero_path("sideways", h1=CompositeHypothesis((0.5, 1.0)), n_values=(8.0, 4.0))
         with pytest.raises(ValueError):
-            zero_path(SHRINK_N, h1=uniform_prior(), n_values=(1.0, 2.0))
+            zero_path(SHRINK_N, h1=CompositeHypothesis(), n_values=(1.0, 2.0))
         with pytest.raises(ValueError):
             zero_path(RIDE_TRP, h1=ONE_SIDED, n_values=(10.0, 5.0))
         with pytest.raises(ValueError):
-            zero_path(SHRINK_N, h1=uniform_prior(), n_values=())
+            zero_path(SHRINK_N, h1=CompositeHypothesis(), n_values=())
         with pytest.raises(ValueError):
-            zero_path(SHRINK_N, h1=uniform_prior(), y_fixed=1.5, n_values=(2.0, 1.0))
+            zero_path(SHRINK_N, h1=CompositeHypothesis(), y_fixed=1.5, n_values=(2.0, 1.0))
 
     def test_ride_trace_log_bf_is_root_residual(self):
         for point in zero_path(RIDE_TRP):
@@ -350,13 +350,13 @@ class TestZeroPath:
         changed = zero_path(SHRINK_N, y_fixed=0.8, n_values=(2.0, 1.0))
         assert [(p.n, p.y) for p in changed] == [(2.0, 0.8), (1.0, 0.8)]
         assert changed == zero_path(
-            SHRINK_N, h1=uniform_prior(0.5, 1.0), h2=FAIR, n_values=(2.0, 1.0),
+            SHRINK_N, h1=CompositeHypothesis((0.5, 1.0)), h2=FAIR, n_values=(2.0, 1.0),
             y_fixed=0.8, against_pair=(0.25, 0.75), tol=DEFAULT_TOL)
 
     def test_path_defaults(self):
         # each path's default prior is the one its trace is computed under
         for kind, support in ((SHRINK_N, (0.5, 1.0)), (RIDE_TRP, (0.0, 0.5))):
-            assert zero_path(kind) == zero_path(kind, h1=uniform_prior(*support))
+            assert zero_path(kind) == zero_path(kind, h1=CompositeHypothesis(support))
         assert all(point.y == 0.9 for point in zero_path(SHRINK_N))
         with pytest.raises(ValueError, match="path kind must be one of"):
             zero_path("sideways")
