@@ -21,14 +21,14 @@ _HOMES = {
         "EvidenceValue", "EXACT", "CONTINUOUS", "EVIDENCE_KINDS", "LOG_SCALE_KINDS",
         "binomial_log_pmf", "p_value_two_sided", "neg_log_p", "log_mlr", "log_slr",
         "log_bf", "log_bf_irrelevant_data", "support_label", "compute_evidence",
-        "UnsupportedNullError", "DegeneratePriorError",
+        "DegeneratePriorError",
     ), "evidence"),
     **dict.fromkeys((
         "log_gamma", "regularized_incomplete_beta",
         "find_root", "InvalidBracketError", "ConvergenceError",
     ), "numerics"),
     **dict.fromkeys((
-        "TrPResult", "NoSignChangeError", "trp_simple", "trp_composite",
+        "TrPResult", "trp_simple", "trp_composite",
         "trp_composite_two_sided", "against_both", "zero_path", "ZeroPathPoint",
         "SHRINK_N", "RIDE_TRP",
     ), "transition"),
@@ -36,7 +36,6 @@ _HOMES = {
         "TransformationAudit", "classify_transformation", "unit_distortion",
         "AgreementConfig", "AgreementReport", "DiscordantPair", "rank_order_agreement",
         "outcome_grid", "DifferenceComparison", "difference_comparison_demo",
-        "DegenerateGridError",
     ), "scale"),
 }
 _SUBMODULES = ("cli", "evidence", "numerics", "scale", "transition")

@@ -47,10 +47,6 @@ SLR_KINDS = ("slr", "logslr")
 BF_KINDS = ("bf", "logbf", "abslogbf")
 
 
-class UnsupportedNullError(ValueError):
-    """A null hypothesis outside the supported symmetric convention."""
-
-
 class DegeneratePriorError(ValueError):
     """A composite prior or posterior whose mass on its support is zero to
     double precision: the logs of I_U and I_L round to the same double."""
@@ -167,7 +163,7 @@ def binomial_log_pmf(data: BinomialOutcome, theta: float) -> float:
 def _two_sided_count(data: BinomialOutcome, null: PointHypothesis) -> tuple[int, int]:
     """(n, c): the two-sided p-value is exactly c / 2**n."""
     if null.theta0 != 0.5:
-        raise UnsupportedNullError(
+        raise ValueError(
             f"two-sided p-value is only defined here for theta0 = 1/2, got {null.theta0}"
         )
     if data.mode != EXACT:
@@ -344,12 +340,17 @@ def log_bf_irrelevant_data(m: int) -> float:
     return 0.0
 
 
-def exp_or_inf(log_value: float) -> float:
-    """A ratio from its natural log: inf past ln of the largest double (about 709.78)."""
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        return math.inf
+def _reported(kind: str, value: float) -> float:
+    """A kind's value as reported: exp of a ratio kind's log (inf past ln of the
+    largest double, about 709.78), |log BF| for abslogbf, other values as given."""
+    if kind in RATIO_LOG_KINDS:
+        try:
+            return math.exp(value)
+        except OverflowError:
+            return math.inf
+    if kind == "abslogbf":  # |log BF|, exactly 0.0 at a transition point
+        return abs(value)
+    return value
 
 
 def compute_evidence(
@@ -383,8 +384,4 @@ def compute_evidence(
         value = log_slr(data, alternative, null)
     else:
         value = log_bf(data, alternative, null)
-    if kind in RATIO_LOG_KINDS:
-        value = exp_or_inf(value)
-    elif kind == "abslogbf":  # |log BF|, exactly 0.0 at a transition point
-        value = abs(value)
-    return EvidenceValue(kind, value)
+    return EvidenceValue(kind, _reported(kind, value))

@@ -25,14 +25,10 @@ from .evidence import (
     PointHypothesis,
     RATIO_LOG_KINDS,
     SLR_KINDS,
+    _reported,
     compute_evidence,
-    exp_or_inf,
 )
 from .numerics import linspace
-
-
-class DegenerateGridError(ValueError):
-    """A sample grid too short or not strictly increasing."""
 
 
 AFFINE_TOL = 1e-9  # distance from the chord an affine map may keep, per unit of value range
@@ -73,9 +69,9 @@ def classify_transformation(f: Callable[[float], float], grid: Sequence[float]) 
     """
     pts = [float(x) for x in grid]
     if len(pts) < 4:
-        raise DegenerateGridError(f"grid needs at least 4 points, got {len(pts)}")
+        raise ValueError(f"grid needs at least 4 points, got {len(pts)}")
     if any(b <= a for a, b in zip(pts, pts[1:])):
-        raise DegenerateGridError("grid must be strictly increasing")
+        raise ValueError("grid must be strictly increasing")
 
     vals = [f(x) for x in pts]
     for x, v in zip(pts, vals):
@@ -167,13 +163,6 @@ class AgreementConfig(NamedTuple):
         return None
 
 
-def _reported(kind: str, values: tuple[float, float]) -> tuple[float, float]:
-    """Two ranked column values as the statistic reports them."""
-    if kind in RATIO_LOG_KINDS:
-        return exp_or_inf(values[0]), exp_or_inf(values[1])
-    return values
-
-
 class DiscordantPairs:
     """The discordant pairs of an agreement report, generated on demand.
 
@@ -215,7 +204,8 @@ class DiscordantPairs:
                 xj, yj = xs[j], ys[j]
                 if (xi > xj and yi < yj) or (xi < xj and yi > yj):
                     yield DiscordantPair(outcomes[i], outcomes[j], kx, ky,
-                                         _reported(kx, (xi, xj)), _reported(ky, (yi, yj)))
+                                         (_reported(kx, xi), _reported(kx, xj)),
+                                         (_reported(ky, yi), _reported(ky, yj)))
                     count -= 1
             i += 1
 

@@ -36,10 +36,6 @@ RIDE_TRP = "ride-trp"
 PATH_KINDS = (SHRINK_N, RIDE_TRP)
 
 
-class NoSignChangeError(RuntimeError):
-    """The log Bayes factor does not cross zero inside the search bracket."""
-
-
 class _TrPResult(NamedTuple):
     n: float
     trp_y: float
@@ -114,7 +110,7 @@ def _solve_trp(
     try:
         root, value, width = find_root(g, lo, hi, tol)
     except InvalidBracketError as err:
-        raise NoSignChangeError(
+        raise InvalidBracketError(
             f"log BF does not change sign on y in [{lo}, {hi}] at n={n}"
         ) from err
     return TrPResult(n=n, trp_y=root, residual=abs(value), bracket_width=width)

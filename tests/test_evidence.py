@@ -15,7 +15,6 @@ from evlab.evidence import (
     CompositeHypothesis,
     DegeneratePriorError,
     PointHypothesis,
-    UnsupportedNullError,
     binomial_log_pmf,
     compute_evidence,
     log_bf,
@@ -213,7 +212,7 @@ class TestPValue:
             assert all(v2 <= v1 for v1, v2 in zip(values, values[1:]))
 
     def test_asymmetric_null_rejected(self):
-        with pytest.raises(UnsupportedNullError):
+        with pytest.raises(ValueError, match="only defined here for theta0 = 1/2"):
             p_value_two_sided(BinomialOutcome(10, 5), PointHypothesis(0.3))
 
     def test_requires_exact_mode(self):

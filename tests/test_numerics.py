@@ -245,6 +245,13 @@ class TestFindRoot:
         assert abs(root - math.sqrt(2.0)) <= math.ulp(root)
         assert len(calls) <= 2 + 53  # two ends, then one halving per bit
 
+    def test_adjacent_doubles_give_the_end_the_midpoint_rounds_to(self):
+        up, down = math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)
+        # 0.5 * (1.0 + up) rounds down to the lower end ...
+        assert find_root(lambda x: 1.0 if x > 1.0 else -1.0, 1.0, up) == (1.0, -1.0, up - 1.0)
+        # ... and 0.5 * (down + 1.0) up to the upper end
+        assert find_root(lambda x: 1.0 if x >= 1.0 else -1.0, down, 1.0) == (1.0, 1.0, 1.0 - down)
+
     def test_refinement_invariance(self):
         f = lambda x: math.cos(x) - x
         coarse, _, _ = find_root(f, 0.0, 1.0, tol=1e-9)

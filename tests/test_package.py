@@ -56,7 +56,7 @@ def test_cold_start_loads_neither_dataclasses_json_nor_scale():
 
 
 def test_every_export_resolves_lazily_to_its_home_object():
-    assert int(_fresh(LAZY_EXPORTS)) == len(evlab.__all__) == 46
+    assert int(_fresh(LAZY_EXPORTS)) == len(evlab.__all__) == 43
 
 
 def test_star_import_gives_every_export():
@@ -78,3 +78,56 @@ def test_imports_only_the_standard_library():
             outside += [(path.name, name) for name in names
                         if name.partition(".")[0] not in sys.stdlib_module_names]
     assert not outside
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((SRC / "evlab").glob("*.py"))}
+
+
+def _reads(tree: ast.AST) -> set[str]:
+    """Names a tree reads: as a variable, as a module attribute, or by import."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            reads.update(alias.name for alias in node.names)
+    return reads
+
+
+def test_every_import_is_read():
+    unread = []
+    for name, tree in _modules().items():
+        if name == "__init__.py":
+            continue  # the package's namespace is its lazy re-exports
+        bound = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound += [alias.asname or alias.name for alias in node.names]
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [(name, bound_name) for bound_name in bound if bound_name not in loaded]
+    assert not unread
+
+
+def test_every_private_module_name_is_read():
+    modules = _modules()
+    reads = set().union(*map(_reads, modules.values()))
+    unread = []
+    for name, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [(name, d) for d in defined if d.startswith("_")
+                       and not (d.startswith("__") and d.endswith("__")) and d not in reads]
+    assert not unread

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats
 
-from evlab.evidence import BinomialOutcome, exp_or_inf
+from evlab.evidence import BinomialOutcome
 from evlab.scale import (
     AgreementConfig,
-    DegenerateGridError,
     DiscordantPair,
     classify_transformation,
     difference_comparison_demo,
@@ -63,9 +62,9 @@ class TestClassifyTransformation:
         assert not audit.positive_scalar
 
     def test_degenerate_grids(self):
-        with pytest.raises(DegenerateGridError):
+        with pytest.raises(ValueError, match="at least 4 points"):
             classify_transformation(math.log, [1.0, 2.0, 3.0])
-        with pytest.raises(DegenerateGridError):
+        with pytest.raises(ValueError, match="strictly increasing"):
             classify_transformation(math.log, [1.0, 2.0, 2.0, 3.0])
 
     def test_nesting_invariant(self):
@@ -170,6 +169,14 @@ class TestClassifyTransformation:
         assert classify_transformation(scaled, linspace(1.0, 2.0, 16)).positive_scalar
         assert not classify_transformation(lambda x: scaled(x) + 1.0,
                                            linspace(1.0, 2.0, 16)).positive_scalar
+
+    def test_chord_intercept_on_a_grid_away_from_one(self):
+        # 3 x to rounding, and log raises at 0: the chord's intercept decides
+        f = lambda x: math.exp(math.log(x) + math.log(3.0))
+        grid = linspace(2.0, 5.0, 8)
+        audit = classify_transformation(f, grid)
+        assert audit.affine and audit.positive_scalar
+        assert not classify_transformation(lambda x: f(x) + 1.0, grid).positive_scalar
 
     @pytest.mark.parametrize("f, grid", [
         # 1e300 x overflows to inf without raising, past x = 1.8e8
@@ -439,13 +446,20 @@ class TestRankOrderAgreement:
     def test_ratio_witnesses_show_the_ratio(self):
         # above n/2, mlr grows with k and logslr (1/4 against 1/2) falls;
         # mlr is inf from k = 1091
+        def ratio(log_value):
+            try:
+                return math.exp(log_value)
+            except OverflowError:
+                return math.inf
+
         grid = [BinomialOutcome(1100, k) for k in range(1060, 1101)]
         pairs = list(rank_order_agreement(grid, ["mlr", "logslr"]).discordant_pairs)
         logs = rank_order_agreement(grid, ["logmlr", "logslr"]).discordant_pairs
         assert len(pairs) == len(logs) == 41 * 40 // 2
         for pair, log_pair in zip(pairs, logs):
             assert pair.outcome_a == log_pair.outcome_a and pair.outcome_b == log_pair.outcome_b
-            assert pair.x_values == tuple(map(exp_or_inf, log_pair.x_values))
+            assert pair.x_values == tuple(map(ratio, log_pair.x_values))
+            assert pair.y_values == log_pair.y_values
         assert (math.inf, math.inf) in {pair.x_values for pair in pairs}
 
     def test_empty_grid_rejected(self):

@@ -16,12 +16,11 @@ from evlab.evidence import (
     log_bf,
     log_slr,
 )
-from evlab.numerics import DEFAULT_TOL, find_root
+from evlab.numerics import DEFAULT_TOL, InvalidBracketError, find_root
 from evlab.transition import (
     RESIDUAL_LIMIT,
     RIDE_TRP,
     SHRINK_N,
-    NoSignChangeError,
     TrPResult,
     against_both,
     trp_composite,
@@ -78,6 +77,10 @@ class TestTrpSimple:
         with pytest.raises(ValueError):
             trp_simple(0.0, 0.5)
 
+    def test_zero_second_hypothesis_is_a_value_error(self):
+        with pytest.raises(ValueError, match="must lie in"):
+            trp_simple(0.25, 0.0)
+
 
 class TestTrpComposite:
     def test_golden_value_at_n10(self):
@@ -100,6 +103,18 @@ class TestTrpComposite:
             assert result.trp_y < 0.5
             assert result.residual < 1e-8
             previous = result.trp_y
+
+    @settings(max_examples=200, deadline=None)
+    @given(support=st.sampled_from([(0.0, 0.5), (0.5, 1.0), (0.2, 0.5), (0.5, 0.9)]),
+           exponents=st.lists(st.floats(0.0, 7.0), min_size=2, max_size=2).map(sorted))
+    def test_drifts_toward_the_null_up_to_ten_million(self, support, exponents):
+        h1 = CompositeHypothesis(support)
+        first, second = (trp_composite(10.0 ** e, h1, FAIR) for e in exponents)
+        for root in (first, second):
+            assert support[0] < root.trp_y < support[1]
+            assert (root.trp_y < 0.5) == (support[1] == 0.5)
+        assert abs(second.trp_y - 0.5) <= (abs(first.trp_y - 0.5)
+                                           + first.bracket_width + second.bracket_width)
 
     @pytest.mark.parametrize("support", [(0.0, 0.5), (0.1, 0.9)])
     def test_log_bf_at_the_roots_for_ten_million_trials(self, support):
@@ -187,7 +202,7 @@ class TestTrpCompositeTwoSided:
             trp_composite_two_sided(10.0, CompositeHypothesis((0.4999995, 1.0)), FAIR)
 
     def test_no_roots_for_tiny_n(self):
-        with pytest.raises(NoSignChangeError):
+        with pytest.raises(InvalidBracketError, match="does not change sign"):
             trp_composite_two_sided(1.0, CompositeHypothesis(), FAIR)
 
 
@@ -336,6 +351,10 @@ class TestZeroPath:
             zero_path(SHRINK_N, h1=CompositeHypothesis(), n_values=())
         with pytest.raises(ValueError):
             zero_path(SHRINK_N, h1=CompositeHypothesis(), y_fixed=1.5, n_values=(2.0, 1.0))
+
+    def test_shrink_n_rejects_a_repeated_n(self):
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            zero_path(SHRINK_N, n_values=(4.0, 4.0))
 
     def test_ride_trace_log_bf_is_root_residual(self):
         for point in zero_path(RIDE_TRP):
