@@ -34,7 +34,7 @@ from .evidence import (
     compute_evidence,
     support_label,
 )
-from .numerics import DEFAULT_TOL, linspace
+from .numerics import linspace
 
 # Default observed-proportion window for curve grids; the log Bayes factor
 # diverges at the extremes.
@@ -128,7 +128,6 @@ def _checked(convert: Callable[[str], float], ok: Callable[[float], bool],
 
 _finite = _checked(float, lambda value: True, "a finite number")
 _open_unit = _checked(float, lambda value: 0.0 < value < 1.0, "a number in (0,1)")
-_positive = _checked(float, lambda value: value > 0.0, "a positive finite number")
 _log_base = _checked(float, lambda value: value > 0.0 and value != 1.0,
                      "a positive finite log base other than 1")
 _non_negative_int = _checked(int, lambda value: value >= 0, "a non-negative integer")
@@ -185,6 +184,14 @@ def _support(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(str(err))
 
 
+def _point_pair(text: str) -> tuple[float, float]:
+    """Parser for two point hypotheses, as PointHypothesis takes them."""
+    try:
+        return tuple(PointHypothesis(theta).theta0 for theta in _numbers(2)(text))
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err))
+
+
 def _prefixed_pair(text: str, prefix: str, names: str) -> tuple[float, float]:
     """The two numbers of a 'prefix:x,y' spec; names says what they are."""
     try:
@@ -230,7 +237,6 @@ _SHARED_FLAGS = {
     "--null": (_open_unit, 0.5, "point null success probability"),
     "--theta1": (_open_unit, 0.25, "point H1 of slr/logslr, figure1 a and trp --setup simple"),
     "--theta2": (_open_unit, 0.75, "point H2 of slr/logslr, figure1 a and trp --setup simple"),
-    "--tol": (_positive, DEFAULT_TOL, "root-finder tolerance on the observed proportion"),
 }
 
 
@@ -303,7 +309,7 @@ def cmd_figure1(args: argparse.Namespace) -> tuple[list[str], Iterator[dict], in
         for n in args.n:
             yield from (row(n, y, "curve") for y in y_grid)
             trp_y = (transition.trp_simple(args.theta1, args.theta2) if args.variant == "a"
-                     else transition.trp_composite(n, h1, h2, args.tol).trp_y)
+                     else transition.trp_composite(n, h1, h2).trp_y)
             yield row(n, trp_y, "trp")
 
     return header, rows(), 0
@@ -321,9 +327,9 @@ def cmd_trp(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
             if args.setup == "simple":
                 results = (transition.trp_point_pair(n, h1, h2),)
             elif args.setup == "one-sided":
-                results = (transition.trp_composite(n, composite, null, args.tol),)
+                results = (transition.trp_composite(n, composite, null),)
             else:
-                results = transition.trp_composite_two_sided(n, composite, null, args.tol)
+                results = transition.trp_composite_two_sided(n, composite, null)
         except (ValueError, RuntimeError) as err:
             rows.append({"setup": args.setup, "side": "", "n": n, "error": str(err)})
             continue
@@ -341,7 +347,7 @@ def cmd_zero_paths(args: argparse.Namespace) -> tuple[list[str], list[dict], int
     for kind in kinds:
         trace = transition.zero_path(
             kind, h1=h1, h2=PointHypothesis(args.null), n_values=args.n,
-            y_fixed=args.y, against_pair=args.against, tol=args.tol)
+            y_fixed=args.y, against_pair=args.against)
         rows.extend({"path": kind, **point._asdict()} for point in trace)
     return ["path", "n", "y", "log_bf", "against_both"], rows, 0
 
@@ -455,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_grid_size, default=99, help="curve points per n (default 99)")
     _add_shared_flags(p, "--theta1", "--theta2")
     p.add_argument("--support", type=_support, default=(0.0, 0.5), metavar="LO,HI")
-    _add_shared_flags(p, "--null", "--tol")
+    _add_shared_flags(p, "--null")
     _finish_leaf(p, cmd_figure1)
 
     p = sub.add_parser("trp", help="transition points of the log Bayes factor")
@@ -465,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="N1,N2,...")
     _add_shared_flags(p, "--theta1", "--theta2")
     p.add_argument("--support", type=_support, default=(0.0, 0.5), metavar="LO,HI")
-    _add_shared_flags(p, "--null", "--tol")
+    _add_shared_flags(p, "--null")
     _finish_leaf(p, cmd_trp)
 
     p = sub.add_parser("zero-paths", help="trace the two routes to log BF = 0")
@@ -478,10 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_n_list, default=None, metavar="N1,N2,...")
     p.add_argument("--support", type=_support, default=None, metavar="LO,HI")
     _add_shared_flags(p, "--null")
-    p.add_argument("--against", type=_numbers(2), default=transition.AGAINST_PAIR,
+    p.add_argument("--against", type=_point_pair, default=transition.AGAINST_PAIR,
                    metavar="T1,T2", help="point pair for the contradiction proxy (default %g,%g)"
                                          % transition.AGAINST_PAIR)
-    _add_shared_flags(p, "--tol")
     _finish_leaf(p, cmd_zero_paths)
 
     p = sub.add_parser("audit", help="measurement-scale audits")
@@ -514,7 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         header, rows, status = args.handler(args)
         write_rows(args, header, rows)  # rows made lazily fail here, too

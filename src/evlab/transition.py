@@ -25,7 +25,7 @@ from .evidence import (
     log_mlr,
     log_slr,
 )
-from .numerics import DEFAULT_TOL, RESIDUAL_LIMIT, InvalidBracketError, find_root
+from .numerics import RESIDUAL_LIMIT, InvalidBracketError, find_root
 
 # Root brackets stay this far inside the support / away from the point null,
 # since the log Bayes factor diverges toward the support edges.
@@ -48,7 +48,7 @@ class TrPResult(_TrPResult):
 
     residual is |log BF| at trp_y, the value the root-finder stopped on.
     bracket_width is the width of the bracket bisection stopped at around
-    trp_y: at most the tol asked for, less where |log BF| was still above
+    trp_y: at most DEFAULT_TOL, less where |log BF| was still above
     RESIDUAL_LIMIT there, and one double spacing where neither rule was met
     sooner. It is 0 for a closed-form or exact root.
     """
@@ -90,9 +90,8 @@ def trp_point_pair(n: float, h1: PointHypothesis, h2: PointHypothesis) -> TrPRes
     return TrPResult(n=n, trp_y=y, residual=residual, bracket_width=0.0)
 
 
-def _solve_trp(
-    n: float, h1: CompositeHypothesis, h2: PointHypothesis, a: float, b: float, tol: float
-) -> TrPResult:
+def _solve_trp(n: float, h1: CompositeHypothesis, h2: PointHypothesis,
+               a: float, b: float) -> TrPResult:
     """The root of log BF in y between the ends a and b, in either order, kept
     BRACKET_MARGIN inside each."""
     if n <= 0:
@@ -108,7 +107,7 @@ def _solve_trp(
         return log_bf(BinomialOutcome(n, y * n, CONTINUOUS), h1, h2)
 
     try:
-        root, value, width = find_root(g, lo, hi, tol)
+        root, value, width = find_root(g, lo, hi)
     except InvalidBracketError as err:
         raise InvalidBracketError(
             f"log BF does not change sign on y in [{lo}, {hi}] at n={n}"
@@ -116,12 +115,7 @@ def _solve_trp(
     return TrPResult(n=n, trp_y=root, residual=abs(value), bracket_width=width)
 
 
-def trp_composite(
-    n: float,
-    h1: CompositeHypothesis,
-    h2: PointHypothesis,
-    tol: float = DEFAULT_TOL,
-) -> TrPResult:
+def trp_composite(n: float, h1: CompositeHypothesis, h2: PointHypothesis) -> TrPResult:
     """Transition point for a one-sided composite hypothesis against a point null.
 
     The prior support must lie entirely on one side of the null value; the
@@ -135,14 +129,11 @@ def trp_composite(
             f"support {h1.support} straddles the null {theta0}; "
             "use trp_composite_two_sided for that case"
         )
-    return _solve_trp(n, h1, h2, lo if hi <= theta0 else hi, theta0, tol)
+    return _solve_trp(n, h1, h2, lo if hi <= theta0 else hi, theta0)
 
 
 def trp_composite_two_sided(
-    n: float,
-    h1: CompositeHypothesis,
-    h2: PointHypothesis,
-    tol: float = DEFAULT_TOL,
+    n: float, h1: CompositeHypothesis, h2: PointHypothesis
 ) -> tuple[TrPResult, TrPResult]:
     """The pair of transition points when the support straddles the null.
 
@@ -154,7 +145,7 @@ def trp_composite_two_sided(
         raise ValueError(
             f"two-sided case requires the support {h1.support} to straddle the null {theta0}"
         )
-    return _solve_trp(n, h1, h2, lo, theta0, tol), _solve_trp(n, h1, h2, theta0, hi, tol)
+    return _solve_trp(n, h1, h2, lo, theta0), _solve_trp(n, h1, h2, theta0, hi)
 
 
 def against_both(data: BinomialOutcome, theta1: float, theta2: float) -> float:
@@ -196,7 +187,6 @@ def zero_path(
     n_values: Sequence[float] | None = None,
     y_fixed: float = Y_FIXED,
     against_pair: tuple[float, float] = AGAINST_PAIR,
-    tol: float = DEFAULT_TOL,
 ) -> tuple[ZeroPathPoint, ...]:
     """Trace one of the two routes to log BF = 0; the last point is where it ends.
 
@@ -204,9 +194,9 @@ def zero_path(
     factor and the contradiction proxy decay to 0.
 
     ride-trp: walk n up, setting y to the transition point at each step
-    (root-found to tol); the log Bayes factor is pinned at 0 (within the root
-    residual) while the contradiction proxy keeps growing. The two traces end
-    at the same log BF but at very different states.
+    (root-found to DEFAULT_TOL); the log Bayes factor is pinned at 0 (within
+    the root residual) while the contradiction proxy keeps growing. The two
+    traces end at the same log BF but at very different states.
 
     h1/h2 define the Bayes factor being traced; against_pair is the pair of
     point hypotheses the contradiction proxy is evaluated against. An h1 or
@@ -230,7 +220,7 @@ def zero_path(
     t1, t2 = against_pair
     points = []
     for n in ns:
-        y = y_fixed if path_kind == SHRINK_N else trp_composite(n, h1, h2, tol).trp_y
+        y = y_fixed if path_kind == SHRINK_N else trp_composite(n, h1, h2).trp_y
         data = BinomialOutcome(n, y * n, CONTINUOUS)
         points.append(ZeroPathPoint(n=n, y=y, log_bf=log_bf(data, h1, h2),
                                     against_both=against_both(data, t1, t2)))

@@ -367,32 +367,11 @@ class TestTrp:
         assert rows and all(r["error"] == "" for r in rows)
         assert all(float(r["residual"]) <= RESIDUAL_LIMIT for r in rows)
 
-    @pytest.mark.parametrize("command", [["figure1", "b"], ["trp"], ["zero-paths", "ride-trp"]])
-    @pytest.mark.parametrize("tol", ["0", "-1e-12", "nan"])
-    def test_non_positive_tol_is_usage_error(self, capsys, command, tol):
-        with pytest.raises(SystemExit) as exc:
-            main([*command, "--tol", tol])
-        assert exc.value.code == 2
-        assert "--tol" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", [["figure1", "b", "--n", "10", "--grid", "3"],
-                                         ["trp", "--n", "10"], ["zero-paths", "ride-trp"]])
-    def test_tol_below_the_double_spacing_finds_the_root(self, capsys, command):
-        # the bracket stops at adjacent doubles, on the root of the default tol
-        status, out = run_cli(capsys, *command, "--tol", "1e-20")
-        assert status == 0
-        _, rows = parse_csv(out)
-        y = {"figure1": "y", "trp": "trp_y", "zero-paths": "y"}[command[0]]
-        assert float(rows[-1 if command[0] == "figure1" else 0][y]) == pytest.approx(
-            GOLDEN_TRP_N10, abs=1e-12)
-
     def test_bracket_width_is_the_width_reached(self, capsys):
+        # bisection halves [1e-6, 0.5 - 1e-6] to the first width at most 1e-12
         _, rows = parse_csv(run_cli(capsys, "trp", "--n", "10")[1])
-        assert 0.0 < float(rows[0]["bracket_width"]) < 1e-12
-        # below the double spacing the bracket stops at adjacent doubles
-        _, rows = parse_csv(run_cli(capsys, "trp", "--n", "10", "--tol", "1e-20")[1])
-        assert float(rows[0]["bracket_width"]) == pytest.approx(
-            math.ulp(float(rows[0]["trp_y"])), rel=1e-9)
+        assert rows[0]["bracket_width"] == "9.09494701773e-13"
+        assert float(rows[0]["bracket_width"]) == pytest.approx(2.0 ** -40, rel=1e-11)
         _, rows = parse_csv(run_cli(capsys, "trp", "--setup", "simple", "--n", "10")[1])
         assert float(rows[0]["bracket_width"]) == 0.0
 
@@ -411,7 +390,6 @@ class TestNonFiniteInput:
         ["figure1", "a", "--grid", "-3"],
         ["trp", "--n", "nan"],
         ["trp", "--n", "10,inf"],
-        ["trp", "--tol", "inf"],
         ["zero-paths", "ride-trp", "--n", "10,nan"],
         ["zero-paths", "shrink-n", "--against", "0.25,nan"],
         ["audit", "transform", "--unit", "nan"],
@@ -528,6 +506,27 @@ class TestZeroPaths:
         assert exc.value.code == 2
         assert "--both" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("route, against, got", [
+        (["shrink-n"], "2,3", "2.0"),
+        (["ride-trp"], "0.25,1", "1.0"),
+        (["--both"], "0,0.5", "0.0"),
+    ])
+    def test_against_outside_the_unit_interval_is_usage_error(self, capsys, route, against, got):
+        # a usage error, as --null 1.5 is: PointHypothesis's rule, checked as the flag is read
+        with pytest.raises(SystemExit) as exc:
+            main(["zero-paths", *route, "--against", against])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: evlab zero-paths ")
+        assert err.endswith("evlab zero-paths: error: argument --against: "
+                            f"point hypothesis requires theta0 in (0,1), got {got}\n")
+
+    @pytest.mark.parametrize("route", [["shrink-n"], ["--both"]])
+    def test_identical_against_pair_is_a_computation_failure(self, capsys, route):
+        assert main(["zero-paths", *route, "--against", "0.5,0.5"]) == 1
+        err = capsys.readouterr().err
+        assert err == "evlab: error: against_both requires distinct hypotheses\n"
+
     def test_both_honours_the_path_flags(self, capsys):
         status, out = run_cli(capsys, "zero-paths", "--both", "--y", "0.5")
         assert status == 0
@@ -541,12 +540,10 @@ class TestZeroPaths:
         support=st.sampled_from(["", "0,0.5", "0.5,1", "0.2,0.45", "0,1"]),
         null=st.sampled_from(["0.5", "0.3"]),
         against=st.sampled_from(["", "0.1,0.6"]),
-        tol=st.sampled_from(["", "1e-9", "1e-20"]),
     )
-    def test_both_prints_the_two_single_paths(self, y, n, support, null, against, tol):
+    def test_both_prints_the_two_single_paths(self, y, n, support, null, against):
         flags = ["--y", y, "--null", null]
-        for flag, value in (("--n", n), ("--support", support), ("--against", against),
-                            ("--tol", tol)):
+        for flag, value in (("--n", n), ("--support", support), ("--against", against)):
             if value:
                 flags += [flag, value]
         status, out = run_quietly(["zero-paths", "--both", *flags])
@@ -971,8 +968,6 @@ _THETAS = [
 ]
 _NULL = (("--null",), "null", None, 0.5, None, None, False,
          "point null success probability (default %(default)g)")
-_TOL = (("--tol",), "tol", None, 1e-12, None, None, False,
-        "root-finder tolerance on the observed proportion (default %(default)g)")
 _OUTPUT = [
     (("--format",), "format", None, "csv", None, ("csv", "jsonl"), False,
      "output format (default csv)"),
@@ -1013,7 +1008,7 @@ _ACTIONS = {
         (("--grid",), "grid", None, 99, None, None, False, "curve points per n (default 99)"),
         *_THETAS,
         (("--support",), "support", None, (0.0, 0.5), "LO,HI", None, False, None),
-        _NULL, _TOL, *_OUTPUT,
+        _NULL, *_OUTPUT,
     ],
     ("trp",): [
         _HELP,
@@ -1022,7 +1017,7 @@ _ACTIONS = {
         (("--n",), "n", None, [10.0, 100.0, 1000.0], "N1,N2,...", None, False, None),
         *_THETAS,
         (("--support",), "support", None, (0.0, 0.5), "LO,HI", None, False, None),
-        _NULL, _TOL, *_OUTPUT,
+        _NULL, *_OUTPUT,
     ],
     ("zero-paths",): [
         _HELP,
@@ -1036,7 +1031,7 @@ _ACTIONS = {
         _NULL,
         (("--against",), "against", None, (0.25, 0.75), "T1,T2", None, False,
          "point pair for the contradiction proxy (default 0.25,0.75)"),
-        _TOL, *_OUTPUT,
+        *_OUTPUT,
     ],
     ("audit",): [_HELP, ((), "audit_command", "A...", None, None, {
         "transform": "classify a scalar transformation",
@@ -1084,9 +1079,14 @@ class TestParser:
             assert (parser.get_default("handler") is not None) == leaf, prefix
 
 
-# The README's contract, over argv drawn from the parser's own actions.
+# The leaf subcommands, and the arguments each requires.
 _LEAVES = [(prefix, parser) for prefix, parser in _parsers(build_parser())
            if _subparsers(parser) is None]
+_REQUIRED = {("compute",): ["--n", "10", "--k", "5"], ("figure1",): ["a"],
+             ("zero-paths",): ["shrink-n"]}
+
+
+# The README's contract, over argv drawn from the parser's own actions.
 _EDGE_NUMBERS = ("0", "5e-324", "1e-300", "1e7", "-1", "nan", "inf",
                  "0.3", "0.30000000000000004", "0.5", "2", "10")
 
@@ -1140,6 +1140,18 @@ def _has_error_cell(text, argv):
 
 
 class TestContract:
+    @pytest.mark.parametrize("prefix", [prefix for prefix, _ in _LEAVES], ids=" ".join)
+    def test_an_unknown_flag_is_a_usage_error_of_its_subcommand(self, capsys, prefix):
+        # no subcommand takes --tol: bisection stops by one fixed rule
+        argv = [*prefix, *_REQUIRED.get(prefix, []), "--tol", "1e-9"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        command = "evlab " + " ".join(prefix)
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: {command} "), err
+        assert err.endswith(f"\n{command}: error: unrecognized arguments: --tol 1e-9\n"), err
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_every_argv_exits_zero_one_or_two_as_the_readme_says(self, data, tmp_path_factory):

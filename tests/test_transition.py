@@ -134,11 +134,8 @@ class TestTrpComposite:
             got = log_bf(BinomialOutcome(n, k, CONTINUOUS), h1, FAIR)
             assert got == pytest.approx(expected, abs=1e-11), root
 
-    @pytest.mark.parametrize("n, tol, most", [
-        (10 ** 6.970428763319813, 1e-12, 45),  # the midpoint at width tol passes the limit
-        (10.0, 0.1, 32),  # a coarse tol: bisection goes on to the residual limit
-    ])
-    def test_one_bisection_per_root(self, monkeypatch, n, tol, most):
+    def test_one_bisection_per_root(self, monkeypatch):
+        # at this n the midpoint at width DEFAULT_TOL passes the residual limit
         calls = []
 
         def counted(*args):
@@ -146,9 +143,9 @@ class TestTrpComposite:
             return log_bf(*args)
 
         monkeypatch.setattr(transition, "log_bf", counted)
-        result = trp_composite(n, ONE_SIDED, FAIR, tol)
-        assert len(calls) <= most
-        assert result.residual <= RESIDUAL_LIMIT and result.bracket_width <= tol
+        result = trp_composite(10 ** 6.970428763319813, ONE_SIDED, FAIR)
+        assert len(calls) <= 45
+        assert result.residual <= RESIDUAL_LIMIT and result.bracket_width <= DEFAULT_TOL
 
     def test_support_above_null_is_mirrored(self):
         mirrored = trp_composite(10.0, CompositeHypothesis((0.5, 1.0)), FAIR)
@@ -277,7 +274,7 @@ class TestZeroPath:
     @settings(max_examples=25, deadline=None)
     @given(exponent=st.floats(1.0, 7.0))
     @example(exponent=7.0)
-    @example(exponent=6.964008427231405)  # a tol-wide bracket left residual 1.03e-8
+    @example(exponent=6.964008427231405)  # a 1e-12-wide bracket left residual 1.03e-8
     def test_ride_trp_stays_at_zero_up_to_ten_million(self, exponent):
         n = 10.0**exponent
         (point,) = zero_path(RIDE_TRP, n_values=(n,))
@@ -297,7 +294,7 @@ class TestZeroPath:
     @settings(max_examples=25, deadline=None)
     @given(exponent=st.floats(1.0, 7.0))
     @example(exponent=7.0)
-    @example(exponent=6.964008427231405)  # a tol-wide bracket left residual 1.03e-8
+    @example(exponent=6.964008427231405)  # a 1e-12-wide bracket left residual 1.03e-8
     def test_log_bf_changes_sign_across_each_trp(self, exponent):
         n = 10.0**exponent
         roots = [(ONE_SIDED, trp_composite(n, ONE_SIDED, FAIR))]
@@ -370,7 +367,7 @@ class TestZeroPath:
         assert [(p.n, p.y) for p in changed] == [(2.0, 0.8), (1.0, 0.8)]
         assert changed == zero_path(
             SHRINK_N, h1=CompositeHypothesis((0.5, 1.0)), h2=FAIR, n_values=(2.0, 1.0),
-            y_fixed=0.8, against_pair=(0.25, 0.75), tol=DEFAULT_TOL)
+            y_fixed=0.8, against_pair=(0.25, 0.75))
 
     def test_path_defaults(self):
         # each path's default prior is the one its trace is computed under

@@ -1,0 +1,180 @@
+"""Mutation testing of evlab's modules: which one-operator changes do the tests miss?
+
+    python3 tools/mutate.py --modules transition --seed 1 --sample 20
+
+Each mutant swaps one operator at one site of a module under ``src/evlab``:
+``<``/``<=``, ``>``/``>=``, ``==``/``!=``, ``+``/``-`` and ``*``/``/`` (each
+way), and ``and``/``or`` (every keyword of one boolean expression). Operators
+inside f-strings are left alone. ``--sample N`` runs N sites drawn by
+``--seed`` (the same seed draws the same sites); without it every site runs.
+
+Every mutant runs in a temporary copy of the tree (``src``, ``tests``,
+``bench``, the README and ``pyproject.toml``), so the checkout, its
+``__pycache__`` and its hypothesis database are never written. Per mutant the
+copy runs ``python -m pytest -x -q -p no:cacheprovider tests
+bench/test_selfcheck.py``, with hypothesis seeded by ``--seed`` so that a
+verdict repeats, and a timeout; a failure or a timeout kills it.
+One line is printed per mutant, ``module:line:column old → new: killed|survived``,
+then the kill count. A survivor is a change no test notices: either a missing
+test or an equivalent mutant, which cannot change any result.
+
+Standard library only. A full run takes hours, so this stays out of the
+test suite and CI; run it on the modules a change touches.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import io
+import os
+import random
+import shutil
+import subprocess
+import sys
+import tempfile
+import tokenize
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "evlab"
+COPIED = ("src", "tests", "bench", "README.md", "pyproject.toml")
+PYTEST = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests", "bench/test_selfcheck.py")
+TIMEOUT_S = 300  # per mutant; tier-1 takes under a minute, so a mutant past this loops
+
+_SWAPS = {
+    ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
+    ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Add: ast.Sub, ast.Sub: ast.Add,
+    ast.Mult: ast.Div, ast.Div: ast.Mult, ast.And: ast.Or, ast.Or: ast.And,
+}
+_TEXT = {
+    ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
+    ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.And: "and", ast.Or: "or",
+}
+
+
+class Site(NamedTuple):
+    module: str
+    line: int
+    column: int  # 1-based, of the first token swapped
+    old: str
+    new: str
+    spans: tuple[tuple[int, int], ...]  # (start, end) character offsets of the tokens swapped
+
+
+def _operators(node: ast.AST) -> list[tuple[type, ast.AST, ast.AST]]:
+    """(operator type, operand before, operand after) for each swappable operator."""
+    if isinstance(node, ast.Compare):
+        operands = [node.left, *node.comparators]
+        return [(type(op), a, b) for op, a, b in zip(node.ops, operands, operands[1:])
+                if type(op) in _SWAPS]
+    if isinstance(node, ast.BinOp) and type(node.op) in _SWAPS:
+        return [(type(node.op), node.left, node.right)]
+    return []
+
+
+def sites(module: str) -> list[Site]:
+    """Every mutation site of src/evlab/<module>.py, in source order."""
+    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    starts = [0]
+    for line in source.splitlines(keepends=True):
+        starts.append(starts[-1] + len(line))
+    tokens = [tok for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+              if tok.type in (tokenize.OP, tokenize.NAME)]
+
+    def between(text: str, a: ast.AST, b: ast.AST) -> list[tuple[int, int]]:
+        """Offsets of the tokens spelled text between the end of a and the start of b."""
+        lo, hi = (a.end_lineno, a.end_col_offset), (b.lineno, b.col_offset)
+        offsets = [starts[tok.start[0] - 1] + tok.start[1] for tok in tokens
+                   if tok.string == text and lo <= tok.start < hi]
+        return [(offset, offset + len(text)) for offset in offsets]
+
+    def site(kind: type, spans: list[tuple[int, int]]) -> Site:
+        line = source.count("\n", 0, spans[0][0]) + 1
+        column = spans[0][0] - starts[line - 1] + 1
+        return Site(module, line, column, _TEXT[kind], _TEXT[_SWAPS[kind]], tuple(spans))
+
+    tree = ast.parse(source)
+    in_fstring = {id(inner) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+                  for inner in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in in_fstring:
+            continue
+        if isinstance(node, ast.BoolOp):
+            kind = type(node.op)
+            spans = [span for a, b in zip(node.values, node.values[1:])
+                     for span in between(_TEXT[kind], a, b)]
+            if len(spans) == len(node.values) - 1:
+                found.append(site(kind, spans))
+        for kind, a, b in _operators(node):
+            spans = between(_TEXT[kind], a, b)
+            if len(spans) == 1:
+                found.append(site(kind, spans))
+    return sorted(found, key=lambda site: site.spans)
+
+
+def mutant_source(site: Site) -> str:
+    source = (PACKAGE / f"{site.module}.py").read_text(encoding="utf-8")
+    for start, end in reversed(site.spans):
+        source = source[:start] + site.new + source[end:]
+    return source
+
+
+def killed(site: Site, tree: Path, seed: int) -> bool:
+    """Whether the tests, with hypothesis seeded by seed, fail (or run past
+    TIMEOUT_S) with the site mutated in tree."""
+    target = tree / "src" / "evlab" / f"{site.module}.py"
+    original = target.read_text(encoding="utf-8")
+    target.write_text(mutant_source(site), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    try:
+        run = subprocess.run([sys.executable, *PYTEST, f"--hypothesis-seed={seed}"],
+                             cwd=tree, env=env, timeout=TIMEOUT_S,
+                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        return run.returncode != 0
+    except subprocess.TimeoutExpired:
+        return True
+    finally:
+        target.write_text(original, encoding="utf-8")
+        shutil.rmtree(tree / ".hypothesis", ignore_errors=True)  # no example carries over
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--modules", default="numerics,evidence,transition,scale",
+                        help="comma-separated modules of src/evlab (default: the four cores)")
+    parser.add_argument("--seed", type=int, default=1, help="seed of the sample (default 1)")
+    parser.add_argument("--sample", type=int, default=None, metavar="N",
+                        help="run N sites drawn by the seed (default: every site)")
+    args = parser.parse_args(argv)
+
+    every = [site for module in args.modules.split(",") for site in sites(module)]
+    chosen = every
+    if args.sample is not None and args.sample < len(every):
+        chosen = sorted(random.Random(args.seed).sample(every, args.sample),
+                        key=lambda site: (site.module, site.spans))
+    print(f"{len(chosen)} of {len(every)} sites", flush=True)
+
+    kills = 0
+    with tempfile.TemporaryDirectory(prefix="evlab-mutate-") as scratch:
+        tree = Path(scratch)
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, tree / name,
+                                ignore=shutil.ignore_patterns("__pycache__", "out"))
+            else:
+                shutil.copy2(source, tree / name)
+        for site in chosen:
+            verdict = killed(site, tree, args.seed)
+            kills += verdict
+            print(f"{site.module}:{site.line}:{site.column} {site.old} → {site.new}: "
+                  f"{'killed' if verdict else 'survived'}", flush=True)
+    print(f"killed {kills} of {len(chosen)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
