@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -13,9 +14,11 @@ import tracemalloc
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from evlab import cli
+from evlab import cli, transition
 from evlab.cli import build_parser, main
-from evlab.evidence import EVIDENCE_KINDS, EXACT, LOG_SCALE_KINDS
+from evlab.evidence import (
+    EVIDENCE_KINDS, EXACT, LOG_SCALE_KINDS, CompositeHypothesis, PointHypothesis)
+from evlab.numerics import find_root
 from evlab.transition import RESIDUAL_LIMIT
 
 from test_readme import _examples as readme_examples
@@ -367,6 +370,34 @@ class TestTrp:
         assert rows and all(r["error"] == "" for r in rows)
         assert all(float(r["residual"]) <= RESIDUAL_LIMIT for r in rows)
 
+    @pytest.mark.parametrize("command", [["figure1", "b"], ["trp"], ["zero-paths", "ride-trp"]])
+    @pytest.mark.parametrize("tol", ["0", "-1e-12", "nan"])
+    def test_non_positive_tol_is_usage_error(self, capsys, command, tol):
+        # --tol is gone: any value of it is an unknown flag of the subcommand
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--tol", tol])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"evlab {command[0]}: error: unrecognized arguments: --tol {tol}\n")
+
+    @pytest.mark.parametrize("command", [["figure1", "b", "--n", "10", "--grid", "3"],
+                                         ["trp", "--n", "10"], ["zero-paths", "ride-trp"]])
+    def test_tol_below_the_double_spacing_finds_the_root(self, capsys, monkeypatch, command):
+        # a find_root tol below the double spacing bisects to adjacent doubles;
+        # each command's root at the fixed stopping rule is within 1e-12 of that one
+        with monkeypatch.context() as patch:
+            patch.setattr(transition, "find_root", functools.partial(find_root, tol=1e-20))
+            exact = transition.trp_composite(10.0, CompositeHypothesis((0.0, 0.5)),
+                                             PointHypothesis(0.5))
+        assert exact.bracket_width == pytest.approx(math.ulp(exact.trp_y), rel=1e-9)
+        assert exact.trp_y == pytest.approx(GOLDEN_TRP_N10, abs=1e-15)
+        status, out = run_cli(capsys, *command)
+        assert status == 0
+        _, rows = parse_csv(out)
+        y = {"figure1": "y", "trp": "trp_y", "zero-paths": "y"}[command[0]]
+        assert float(rows[-1 if command[0] == "figure1" else 0][y]) == pytest.approx(
+            exact.trp_y, abs=1e-12)
+
     def test_bracket_width_is_the_width_reached(self, capsys):
         # bisection halves [1e-6, 0.5 - 1e-6] to the first width at most 1e-12
         _, rows = parse_csv(run_cli(capsys, "trp", "--n", "10")[1])
@@ -390,6 +421,7 @@ class TestNonFiniteInput:
         ["figure1", "a", "--grid", "-3"],
         ["trp", "--n", "nan"],
         ["trp", "--n", "10,inf"],
+        ["trp", "--null", "inf"],
         ["zero-paths", "ride-trp", "--n", "10,nan"],
         ["zero-paths", "shrink-n", "--against", "0.25,nan"],
         ["audit", "transform", "--unit", "nan"],
