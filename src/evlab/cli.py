@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 computation failure or closed stdout, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import math
@@ -88,8 +89,8 @@ def write_rows(args: argparse.Namespace, header: list[str], rows: Iterable[dict]
                 values[i] *= factor
         return values
 
-    out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
-    try:
+    with (contextlib.nullcontext(sys.stdout) if args.out is None
+          else open(args.out, "w", encoding="utf-8", newline="")) as out:
         if args.format == "csv":
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(header)
@@ -101,13 +102,19 @@ def write_rows(args: argparse.Namespace, header: list[str], rows: Iterable[dict]
             for row in rows:
                 obj = dict(zip(header, map(_json_cell, cells(row))))
                 out.write(json.dumps(obj, separators=(",", ":")) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
 
 
 # ---------------------------------------------------------------------------
 # argument parsing helpers
+
+
+@contextlib.contextmanager
+def _usage(names: str = "") -> Iterator[None]:
+    """The library's ValueError or OverflowError as a usage error prefixed by names."""
+    try:
+        yield
+    except (ValueError, OverflowError) as err:
+        raise argparse.ArgumentTypeError(f"{names}{err}") from err
 
 
 def _checked(convert: Callable[[str], float], ok: Callable[[float], bool],
@@ -178,18 +185,14 @@ def _kinds_list(text: str) -> list[str]:
 
 def _support(text: str) -> tuple[float, float]:
     """Parser for the support of a composite prior, as CompositeHypothesis takes it."""
-    try:
+    with _usage():
         return CompositeHypothesis(_numbers(2)(text)).support
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err))
 
 
 def _point_pair(text: str) -> tuple[float, float]:
     """Parser for two point hypotheses, as PointHypothesis takes them."""
-    try:
+    with _usage():
         return tuple(PointHypothesis(theta).theta0 for theta in _numbers(2)(text))
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err))
 
 
 def _prefixed_pair(text: str, prefix: str, names: str) -> tuple[float, float]:
@@ -205,10 +208,8 @@ def _prior_spec(text: str) -> tuple[float, float]:
     if text == "uniform":
         return (1.0, 1.0)
     if text.startswith("beta:"):
-        try:
+        with _usage():
             return CompositeHypothesis((0.0, 1.0), *_prefixed_pair(text, "beta:", "a,b"))[1:]
-        except ValueError as err:
-            raise argparse.ArgumentTypeError(str(err))
     raise argparse.ArgumentTypeError(f"expected 'uniform' or 'beta:a,b', got {text!r}")
 
 
@@ -267,10 +268,8 @@ def cmd_compute(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
     kinds = args.kinds
     if kinds is None:
         kinds = ["logbf"] if args.bf is not None else ["pvalue", "neglogp", "mlr", "logmlr"]
-    try:
+    with _usage(f"--n {args.n:g} --k {args.k:g}: "):
         data = BinomialOutcome(args.n, args.k, args.mode)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(f"--n {args.n:g} --k {args.k:g}: {err}") from err
     null = PointHypothesis(args.null)
 
     rows = []
@@ -357,13 +356,9 @@ def cmd_audit_transform(args: argparse.Namespace) -> tuple[list[str], list[dict]
 
     name, f = args.f
     lo, hi = args.interval
-    try:
+    with _usage(f"transform {name} on --interval {lo:g},{hi:g}: "):
         audit = scale.classify_transformation(f, linspace(lo, hi, args.grid))
         distortion = scale.unit_distortion(f, (lo, hi), args.unit)
-    except (ValueError, OverflowError) as err:
-        raise argparse.ArgumentTypeError(
-            f"transform {name} on --interval {lo:g},{hi:g}: {err}"
-        ) from err
     header = ["transform", "lo", "hi", "unit", "order_preserving", "affine",
               "positive_scalar", "unit_distortion"]
     rows = [{"transform": name, "lo": lo, "hi": hi, "unit": args.unit,
@@ -384,10 +379,8 @@ class _Rows:
 def cmd_audit_agreement(args: argparse.Namespace) -> tuple[list[str], Iterable[dict], int]:
     from . import scale
 
-    try:
+    with _usage(f"--min-n {args.min_n} --max-n {args.max_n}: "):
         report = scale.rank_order_agreement(scale.outcome_grid(args.max_n, args.min_n), args.kinds)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(f"--min-n {args.min_n} --max-n {args.max_n}: {err}") from err
     if report.excluded:
         (first, reason), count = report.excluded[0], len(report.excluded)
         print(f"{args.parser.prog}: {count} outcomes excluded; first n={first.n}, k={first.k}: "
@@ -420,10 +413,8 @@ def cmd_audit_agreement(args: argparse.Namespace) -> tuple[list[str], Iterable[d
 def cmd_audit_difference(args: argparse.Namespace) -> tuple[list[str], list[dict], int]:
     from . import scale
 
-    try:
+    with _usage("--p-values %g,%g,%g: " % args.p_values):
         demo = scale.difference_comparison_demo(args.p_values)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError("--p-values %g,%g,%g: %s" % (*args.p_values, err)) from err
     header = ["p1", "p2", "p3", "raw_diff_12", "raw_diff_23",
               "neglog_diff_12", "neglog_diff_23"]
     return header, [dict(zip(header, (*demo.p_values, *demo.raw, *demo.neg_log)))], 0
@@ -521,7 +512,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args, unknown = build_parser().parse_known_args(argv)
     if unknown:
-        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+        # evlab takes only -h, so a token before the subcommand is its own; its
+        # parser is built anew, as none is held through the handler
+        first = (sys.argv[1:] if argv is None else argv)[:1]
+        (args.parser if first == [args.command] else build_parser()).error(
+            f"unrecognized arguments: {' '.join(unknown)}")
     try:
         header, rows, status = args.handler(args)
         write_rows(args, header, rows)  # rows made lazily fail here, too

@@ -474,6 +474,17 @@ class TestHandlerUsageError:
         (["audit", "difference", "--p-values", "0,0.5,0.1"], "--p-values 0,0.5,0.1: p-values"),
         (["audit", "agreement", "--max-n", "1"],
          "--min-n 2 --max-n 1: agreement requires a nonempty outcome grid"),
+        # the library's rejection, through an argument type, names its flag
+        (["compute", "--n", "10", "--k", "3", "--support", "0.5,0.2", "--kinds", "logbf"],
+         "argument --support: support must be a positive-width subinterval of [0,1], "
+         "got (0.5, 0.2)\n"),
+        (["compute", "--n", "10", "--k", "3", "--bf", "beta:0,1"],
+         "argument --bf: prior shapes must be positive and finite, got a=0.0, b=1.0\n"),
+        (["zero-paths", "shrink-n", "--against", "2,3"],
+         "argument --against: point hypothesis requires theta0 in (0,1), got 2.0\n"),
+        # exp overflows on the interval: an OverflowError, not a ValueError
+        (["audit", "transform", "--f", "exp", "--interval", "0,1000"],
+         "transform exp on --interval 0,1000: math range error\n"),
     ])
     def test_names_its_subcommand(self, capsys, argv, message):
         # as an argparse type error does, with the usage of the subcommand
@@ -893,6 +904,20 @@ class TestOutputOptions:
         assert captured.out == "p1\n0.5\n"
         assert captured.err == "evlab: error: the second row cannot be made\n"
 
+    def test_an_out_file_whose_row_fails_keeps_the_rows_before_it(
+            self, capsys, monkeypatch, tmp_path):
+        # the file is closed on the failure: the ResourceWarning filter fails a leaked one
+        def rows():
+            yield {"p1": 0.5}
+            raise ValueError("the second row cannot be made")
+
+        monkeypatch.setattr(cli, "cmd_audit_difference", lambda args: (["p1"], rows(), 0))
+        path = tmp_path / "rows.csv"
+        assert main(["audit", "difference", "--out", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "evlab: error: the second row cannot be made\n")
+        assert path.read_text(encoding="utf-8") == "p1\n0.5\n"
+
     def test_log_base_rescales_log_columns_only(self, capsys):
         _, base_e = run_cli(capsys, "compute", "--n", "10", "--k", "10",
                             "--kinds", "neglogp,pvalue")
@@ -1183,6 +1208,18 @@ class TestContract:
         err = capsys.readouterr().err
         assert err.startswith(f"usage: {command} "), err
         assert err.endswith(f"\n{command}: error: unrecognized arguments: --tol 1e-9\n"), err
+
+    @pytest.mark.parametrize("argv", [
+        ["--foo", "compute", "--n", "1", "--k", "1"],
+        ["-x", "trp"],
+    ], ids=" ".join)
+    def test_a_token_before_the_subcommand_is_a_usage_error_of_evlab(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("usage: evlab [-h] "), lines
+        assert lines[-1] == f"evlab: error: unrecognized arguments: {argv[0]}", lines
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

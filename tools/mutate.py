@@ -2,11 +2,15 @@
 
     python3 tools/mutate.py --modules transition --seed 1 --sample 20
 
-Each mutant swaps one operator at one site of a module under ``src/evlab``:
-``<``/``<=``, ``>``/``>=``, ``==``/``!=``, ``+``/``-`` and ``*``/``/`` (each
-way), and ``and``/``or`` (every keyword of one boolean expression). Operators
-inside f-strings are left alone. ``--sample N`` runs N sites drawn by
-``--seed`` (the same seed draws the same sites); without it every site runs.
+Each mutant makes one change at one site of a module under ``src/evlab``:
+it swaps ``<``/``<=``, ``>``/``>=``, ``==``/``!=``, ``+``/``-`` or
+``*``/``/`` (each way), or ``and``/``or`` (every keyword of one boolean
+expression); it turns a numeric literal ``c`` into ``(c + 1)`` or
+``(c - 1)``; it drops ``abs`` from ``abs(e)``; or it moves the end of a
+``range`` by one, ``range(a, b)`` into ``range(a, (b) + 1)`` or
+``range(a, (b) - 1)``. Code inside f-strings is left alone. ``--sample N``
+runs N sites drawn by ``--seed`` (the same seed draws the same sites);
+without it every site runs.
 
 Every mutant runs in a temporary copy of the tree (``src``, ``tests``,
 ``bench``, the README and ``pyproject.toml``), so the checkout, its
@@ -57,10 +61,10 @@ _TEXT = {
 class Site(NamedTuple):
     module: str
     line: int
-    column: int  # 1-based, of the first token swapped
-    old: str
+    column: int  # 1-based, of the first character changed
+    old: str  # what the change reads as, for the report
     new: str
-    spans: tuple[tuple[int, int], ...]  # (start, end) character offsets of the tokens swapped
+    edits: tuple[tuple[int, int, str], ...]  # (start, end) character offsets and their new text
 
 
 def _operators(node: ast.AST) -> list[tuple[type, ast.AST, ast.AST]]:
@@ -77,8 +81,9 @@ def _operators(node: ast.AST) -> list[tuple[type, ast.AST, ast.AST]]:
 def sites(module: str) -> list[Site]:
     """Every mutation site of src/evlab/<module>.py, in source order."""
     source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    lines = source.splitlines(keepends=True)
     starts = [0]
-    for line in source.splitlines(keepends=True):
+    for line in lines:
         starts.append(starts[-1] + len(line))
     tokens = [tok for tok in tokenize.generate_tokens(io.StringIO(source).readline)
               if tok.type in (tokenize.OP, tokenize.NAME)]
@@ -90,10 +95,21 @@ def sites(module: str) -> list[Site]:
                    if tok.string == text and lo <= tok.start < hi]
         return [(offset, offset + len(text)) for offset in offsets]
 
-    def site(kind: type, spans: list[tuple[int, int]]) -> Site:
-        line = source.count("\n", 0, spans[0][0]) + 1
-        column = spans[0][0] - starts[line - 1] + 1
-        return Site(module, line, column, _TEXT[kind], _TEXT[_SWAPS[kind]], tuple(spans))
+    def offset(line: int, byte_column: int) -> int:
+        """The character offset of an ast position, whose column counts UTF-8 bytes."""
+        return starts[line - 1] + len(lines[line - 1].encode("utf-8")[:byte_column].decode("utf-8"))
+
+    def span(node: ast.AST) -> tuple[int, int]:
+        return (offset(node.lineno, node.col_offset), offset(node.end_lineno, node.end_col_offset))
+
+    def site(old: str, new: str, edits: list[tuple[int, int, str]]) -> Site:
+        line = source.count("\n", 0, edits[0][0]) + 1
+        column = edits[0][0] - starts[line - 1] + 1
+        return Site(module, line, column, old, new, tuple(edits))
+
+    def swap(kind: type, spans: list[tuple[int, int]]) -> Site:
+        new = _TEXT[_SWAPS[kind]]
+        return site(_TEXT[kind], new, [(start, end, new) for start, end in spans])
 
     tree = ast.parse(source)
     in_fstring = {id(inner) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
@@ -107,18 +123,36 @@ def sites(module: str) -> list[Site]:
             spans = [span for a, b in zip(node.values, node.values[1:])
                      for span in between(_TEXT[kind], a, b)]
             if len(spans) == len(node.values) - 1:
-                found.append(site(kind, spans))
+                found.append(swap(kind, spans))
         for kind, a, b in _operators(node):
             spans = between(_TEXT[kind], a, b)
             if len(spans) == 1:
-                found.append(site(kind, spans))
-    return sorted(found, key=lambda site: site.spans)
+                found.append(swap(kind, spans))
+        if (isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+                and not isinstance(node.value, bool)):
+            text = ast.get_source_segment(source, node)
+            for sign in "+-":
+                found.append(site(text, f"({text} {sign} 1)", [(*span(node), f"({text} {sign} 1)")]))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords
+                and not any(isinstance(arg, ast.Starred) for arg in node.args)):
+            if node.func.id == "abs" and len(node.args) == 1:
+                found.append(site("abs(…)", "(…)", [(*span(node.func), "")]))
+            elif node.func.id == "range" and 1 <= len(node.args) <= 3:
+                end = node.args[0 if len(node.args) == 1 else 1]
+                if isinstance(end, ast.Constant):
+                    continue  # the literal's own mutants move it by one
+                text = ast.get_source_segment(source, end)
+                start, stop = span(end)
+                for sign in "+-":
+                    found.append(site(f"range end {text}", f"({text}) {sign} 1",
+                                      [(start, start, "("), (stop, stop, f") {sign} 1")]))
+    return sorted(found, key=lambda site: (site.edits, site.new))
 
 
 def mutant_source(site: Site) -> str:
     source = (PACKAGE / f"{site.module}.py").read_text(encoding="utf-8")
-    for start, end in reversed(site.spans):
-        source = source[:start] + site.new + source[end:]
+    for start, end, text in reversed(site.edits):
+        source = source[:start] + text + source[end:]
     return source
 
 
@@ -154,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
     chosen = every
     if args.sample is not None and args.sample < len(every):
         chosen = sorted(random.Random(args.seed).sample(every, args.sample),
-                        key=lambda site: (site.module, site.spans))
+                        key=lambda site: (site.module, site.edits, site.new))
     print(f"{len(chosen)} of {len(every)} sites", flush=True)
 
     kills = 0
