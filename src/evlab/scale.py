@@ -296,7 +296,8 @@ def rank_order_agreement(grid: Sequence[BinomialOutcome], kinds: Sequence[str]) 
     instance, and equal rational Bayes factors within the exact range of
     evidence.log_bf). The ratio kinds mlr, slr and bf are ranked by their
     logs; their witnesses show the ratio. Outcomes on which some statistic
-    cannot be computed are excluded from all comparisons and reported.
+    cannot be computed are excluded from all comparisons and reported. An
+    empty grid and a kind given more than once are ValueErrors.
     Deterministic given the grid order. Time is O(m log m) per kind pair
     and memory O(m) for m kept outcomes; the witnesses are generated only
     when read.
@@ -305,10 +306,13 @@ def rank_order_agreement(grid: Sequence[BinomialOutcome], kinds: Sequence[str]) 
         raise ValueError("agreement requires a nonempty outcome grid")
     config = AgreementConfig()
     kinds = tuple(kinds)
+    for i, kind in enumerate(kinds):
+        if kind in kinds[:i]:
+            raise ValueError(f"agreement requires distinct kinds, got {kind!r} more than once")
 
-    # One column per distinct ranked statistic: a repeated kind, and a ratio
-    # kind and its log kind, share one. Ranked by the log, the outcomes whose
-    # ratio overflows to inf (log past about 709.78) do not tie.
+    # One column per distinct ranked statistic: a ratio kind and its log kind
+    # share one. Ranked by the log, the outcomes whose ratio overflows to inf
+    # (log past about 709.78) do not tie.
     columns: dict[str, list[float]] = {RATIO_LOG_KINDS.get(k, k): [] for k in kinds}
     kept: list[BinomialOutcome] = []
     excluded: list[tuple[BinomialOutcome, str]] = []

@@ -85,6 +85,13 @@ class TestCompute:
         _, rows = parse_csv(out)
         assert rows[0]["value"] == "0.001953125"
 
+    def test_a_repeated_kind_is_a_row_per_query(self, capsys):
+        # each row is an independent query, unlike audit agreement's kinds
+        status, out = run_cli(capsys, "compute", "--n", "10", "--k", "10",
+                              "--kinds", "pvalue,pvalue")
+        assert status == 0
+        assert out == "kind,n,k,value\n" + "pvalue,10,10,0.001953125\n" * 2
+
     def test_bayes_factor_kinds(self, capsys):
         status, out = run_cli(
             capsys, "compute", "--n", "10", "--k", "5", "--bf", "uniform",
@@ -474,6 +481,9 @@ class TestHandlerUsageError:
         (["audit", "difference", "--p-values", "0,0.5,0.1"], "--p-values 0,0.5,0.1: p-values"),
         (["audit", "agreement", "--max-n", "1"],
          "--min-n 2 --max-n 1: agreement requires a nonempty outcome grid"),
+        # a repeated kind would print its tau rows and every witness again
+        (["audit", "agreement", "--max-n", "6", "--kinds", "neglogp,abslogbf,neglogp"],
+         "--min-n 2 --max-n 6: agreement requires distinct kinds, got 'neglogp' more than once\n"),
         # the library's rejection, through an argument type, names its flag
         (["compute", "--n", "10", "--k", "3", "--support", "0.5,0.2", "--kinds", "logbf"],
          "argument --support: support must be a positive-width subinterval of [0,1], "

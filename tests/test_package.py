@@ -40,9 +40,29 @@ else:
 print(len(evlab.__all__))
 """
 
+# The tracemalloc peak of compiling each module's source, the smaller of two
+# compiles, after one compile to warm the interpreter up.
+COMPILE_PEAKS = """
+import sys, tracemalloc
+from pathlib import Path
 
-def _fresh(code: str) -> str:
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+def peak(source, name):
+    tracemalloc.start()
+    compile(source, name, "exec")
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak
+
+sources = {path.name: path.read_text(encoding="utf-8")
+           for path in sorted(Path(sys.argv[1]).glob("*.py"))}
+compile(sources["scale.py"], "scale.py", "exec")
+for name, source in sources.items():
+    print(name, min(peak(source, name), peak(source, name)))
+"""
+
+
+def _fresh(code: str, *args: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)}, check=False)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -50,9 +70,20 @@ def _fresh(code: str) -> str:
 
 def test_cold_start_loads_neither_dataclasses_json_nor_scale():
     loaded = set(_fresh(COLD_START).split())
-    assert {"evlab.cli", "evlab.evidence", "evlab.numerics", "evlab.transition"} <= loaded
+    assert {"evlab.cli", "evlab._flags", "evlab.evidence", "evlab.numerics",
+            "evlab.transition"} <= loaded
     # the exact Bayes factors and p-values stay on plain ints
     assert not loaded & {"dataclasses", "json", "evlab.scale", "fractions", "decimal"}
+
+
+def test_no_module_compiles_far_above_scale():
+    # Without a bytecode cache every launch compiles the modules from source,
+    # and the largest compile peak is part of the process's peak RSS; so the
+    # CLI's argument grammar compiles on its own, in _flags.
+    peaks = {name: int(peak) for name, peak in
+             map(str.split, _fresh(COMPILE_PEAKS, str(SRC / "evlab")).splitlines())}
+    ratios = {name: peak / peaks["scale.py"] for name, peak in peaks.items()}
+    assert not {name: ratio for name, ratio in ratios.items() if ratio > 1.25}
 
 
 def test_every_export_resolves_lazily_to_its_home_object():

@@ -260,9 +260,16 @@ class TestPermissible:
 
 class TestRankOrderAgreement:
     def test_self_agreement(self):
-        report = rank_order_agreement(outcome_grid(8), ["neglogp", "neglogp"])
-        assert report.kendall_tau[("neglogp", "neglogp")] == 1.0
+        report = rank_order_agreement(outcome_grid(8), ["neglogp"])
+        assert report.kendall_tau == {("neglogp", "neglogp"): 1.0}
         assert len(report.discordant_pairs) == 0
+
+    @pytest.mark.parametrize("kinds", [["neglogp", "neglogp"],
+                                       ["neglogp", "abslogbf", "neglogp"]])
+    def test_repeated_kind_rejected(self, kinds):
+        # a repeated kind would repeat its tau rows and every witness
+        with pytest.raises(ValueError, match="distinct kinds, got 'neglogp' more than once"):
+            rank_order_agreement(outcome_grid(6), kinds)
 
     def test_p_value_vs_bayes_factor_disagree(self):
         report = rank_order_agreement(outcome_grid(30), ["neglogp", "abslogbf"])
