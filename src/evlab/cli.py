@@ -222,18 +222,20 @@ class _Rows:
 def cmd_audit_agreement(args: argparse.Namespace) -> tuple[list[str], Iterable[dict], int]:
     from . import scale
 
-    with _usage(f"--min-n {args.min_n} --max-n {args.max_n}: "):
-        report = scale.rank_order_agreement(scale.outcome_grid(args.max_n, args.min_n), args.kinds)
+    grid = scale.outcome_grid(args.max_n, args.min_n)
+    # the library rejects an empty grid before a repeated kind
+    with _usage(f"--kinds {','.join(args.kinds)}: " if grid else
+                f"--min-n {args.min_n} --max-n {args.max_n}: "):
+        report = scale.rank_order_agreement(grid, args.kinds)
     if report.excluded:
         (first, reason), count = report.excluded[0], len(report.excluded)
         print(f"{args.parser.prog}: {count} outcomes excluded; first n={first.n}, k={first.k}: "
               f"{reason}", file=sys.stderr)
     header = ["row_type", "kind_x", "kind_y", "tau",
               "n_a", "k_a", "n_b", "k_b", "x_a", "x_b", "y_a", "y_b"]
-    kinds = report.statistic_kinds
     tau_rows = [
         {"row_type": "tau", "kind_x": kx, "kind_y": ky, "tau": report.kendall_tau[(kx, ky)]}
-        for i, kx in enumerate(kinds) for ky in kinds[i:]
+        for kx, ky in itertools.combinations_with_replacement(report.statistic_kinds, 2)
     ]
 
     def witness_row(pair: scale.DiscordantPair) -> dict:

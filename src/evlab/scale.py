@@ -70,7 +70,7 @@ def classify_transformation(f: Callable[[float], float], grid: Sequence[float]) 
     pts = [float(x) for x in grid]
     if len(pts) < 4:
         raise ValueError(f"grid needs at least 4 points, got {len(pts)}")
-    if any(b <= a for a, b in zip(pts, pts[1:])):
+    if any(b <= a for a, b in itertools.pairwise(pts)):
         raise ValueError("grid must be strictly increasing")
 
     vals = [f(x) for x in pts]
@@ -86,7 +86,7 @@ def classify_transformation(f: Callable[[float], float], grid: Sequence[float]) 
     off_chord = max(abs(v - (v0 + slope * (x - x0))) for x, v in zip(pts, vals))
     affine = off_chord <= tol and slope > 0.0
     return TransformationAudit(
-        order_preserving=affine or all(b > a for a, b in zip(vals, vals[1:])),
+        order_preserving=affine or all(b > a for a, b in itertools.pairwise(vals)),
         affine=affine,
         positive_scalar=affine and _zero_intercept(f, pts, v0, slope, tol),
     )
@@ -190,24 +190,17 @@ class DiscordantPairs:
         return self._len
 
     def __iter__(self) -> Iterator[DiscordantPair]:
+        outcomes = self._outcomes
         for kx, ky, count in self._counts:
-            yield from self._pairs(kx, ky, count)
-
-    def _pairs(self, kx: str, ky: str, count: int) -> Iterator[DiscordantPair]:
-        xs, ys, outcomes = self._columns[kx], self._columns[ky], self._outcomes
-        m = len(outcomes)
-        i = 0
-        # The count is known, so the scan stops at the last reversal.
-        while count:
-            xi, yi = xs[i], ys[i]
-            for j in range(i + 1, m):
-                xj, yj = xs[j], ys[j]
-                if (xi > xj and yi < yj) or (xi < xj and yi > yj):
-                    yield DiscordantPair(outcomes[i], outcomes[j], kx, ky,
-                                         (_reported(kx, xi), _reported(kx, xj)),
-                                         (_reported(ky, yi), _reported(ky, yj)))
-                    count -= 1
-            i += 1
+            xs, ys = self._columns[kx], self._columns[ky]
+            m = len(xs)
+            witnesses = (DiscordantPair(outcomes[i], outcomes[j], kx, ky,
+                                        (_reported(kx, xi), _reported(kx, xs[j])),
+                                        (_reported(ky, yi), _reported(ky, ys[j])))
+                         for i, (xi, yi) in enumerate(zip(xs, ys)) for j in range(i + 1, m)
+                         if (xi > xs[j] and yi < ys[j]) or (xi < xs[j] and yi > ys[j]))
+            # The count is known, so the scan stops at the last reversal.
+            yield from itertools.islice(witnesses, count)
 
     def __repr__(self) -> str:
         return f"<{self._len} discordant pairs>"
@@ -273,13 +266,12 @@ def _kendall_tau_b(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, int
     ties in runs. The integer counts equal those of comparing every pair,
     so tau is the same double. Values must not be NaN.
     """
-    m = len(xs)
     points = sorted(zip(xs, ys))
     ties_x = _tied_pairs([x for x, _ in points])
     ties_xy = _tied_pairs(points)
     sorted_y, discordant = _sort_counting_swaps([y for _, y in points])
     ties_y = _tied_pairs(sorted_y)
-    total = m * (m - 1) // 2
+    total = math.comb(len(xs), 2)
     concordant = total - ties_x - ties_y + ties_xy - discordant
     denom = math.sqrt((total - ties_x) * (total - ties_y))
     if denom == 0.0:
@@ -334,12 +326,11 @@ def rank_order_agreement(grid: Sequence[BinomialOutcome], kinds: Sequence[str]) 
 
     taus: dict[tuple[str, str], float] = {}
     counts: list[tuple[str, str, int]] = []
-    for xi, kx in enumerate(kinds):
-        for yi, ky in enumerate(kinds[xi:], start=xi):
-            tau, discordant = _kendall_tau_b(ranked[kx], ranked[ky])
-            taus[(kx, ky)] = taus[(ky, kx)] = tau
-            if yi > xi:
-                counts.append((kx, ky, discordant))
+    for kx, ky in itertools.combinations_with_replacement(kinds, 2):
+        tau, discordant = _kendall_tau_b(ranked[kx], ranked[ky])
+        taus[(kx, ky)] = taus[(ky, kx)] = tau
+        if kx != ky:
+            counts.append((kx, ky, discordant))
 
     outcomes = tuple(kept)
     return AgreementReport(

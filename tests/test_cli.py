@@ -481,9 +481,13 @@ class TestHandlerUsageError:
         (["audit", "difference", "--p-values", "0,0.5,0.1"], "--p-values 0,0.5,0.1: p-values"),
         (["audit", "agreement", "--max-n", "1"],
          "--min-n 2 --max-n 1: agreement requires a nonempty outcome grid"),
-        # a repeated kind would print its tau rows and every witness again
+        # a repeated kind would print its tau rows and every witness again; the
+        # message names --kinds, and an empty grid is still blamed on its window
         (["audit", "agreement", "--max-n", "6", "--kinds", "neglogp,abslogbf,neglogp"],
-         "--min-n 2 --max-n 6: agreement requires distinct kinds, got 'neglogp' more than once\n"),
+         "--kinds neglogp,abslogbf,neglogp: agreement requires distinct kinds, "
+         "got 'neglogp' more than once\n"),
+        (["audit", "agreement", "--min-n", "12", "--max-n", "10", "--kinds", "pvalue,pvalue"],
+         "--min-n 12 --max-n 10: agreement requires a nonempty outcome grid\n"),
         # the library's rejection, through an argument type, names its flag
         (["compute", "--n", "10", "--k", "3", "--support", "0.5,0.2", "--kinds", "logbf"],
          "argument --support: support must be a positive-width subinterval of [0,1], "

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats
 
-from evlab.evidence import BinomialOutcome
+from evlab.evidence import EVIDENCE_KINDS, RATIO_LOG_KINDS, BinomialOutcome, compute_evidence
 from evlab.scale import (
     AgreementConfig,
     DiscordantPair,
@@ -349,36 +350,54 @@ class TestRankOrderAgreement:
                 report.kendall_tau[("neglogp", "abslogbf")], abs=1e-12
             )
 
-    def test_matches_pairwise_reference_exactly(self):
+    @settings(max_examples=40, deadline=None)
+    @given(min_n=st.integers(0, 20), width=st.integers(0, 4),
+           kinds=st.lists(st.sampled_from(EVIDENCE_KINDS), min_size=2, max_size=4, unique=True))
+    def test_matches_pairwise_reference_exactly(self, min_n, width, kinds):
         # taus, discordant counts and the witnesses in order, against a sign
-        # for every outcome pair
-        kinds = ["neglogp", "abslogbf", "logmlr", "logslr"]
-        report = rank_order_agreement(outcome_grid(12), kinds)
-        from evlab.evidence import compute_evidence
-
+        # for every outcome pair of the ranked values (a ratio kind's log)
+        report = rank_order_agreement(outcome_grid(min_n + width, min_n), kinds)
         config = AgreementConfig()
         outcomes = report.dataset_grid
-        columns = {
-            kind: [compute_evidence(kind, o, null=config.null,
-                                    alternative=config.alternative_for(kind)).value
-                   for o in outcomes]
-            for kind in kinds
-        }
-        signs = {k: pair_signs(columns[k]) for k in kinds}
-        index_pairs = [(i, j) for i in range(len(outcomes)) for j in range(i + 1, len(outcomes))]
+
+        def values(kind):
+            return [compute_evidence(kind, o, null=config.null,
+                                     alternative=config.alternative_for(kind)).value
+                    for o in outcomes]
+
+        shown = {kind: values(kind) for kind in kinds}
+        signs = {kind: pair_signs(values(RATIO_LOG_KINDS.get(kind, kind))) for kind in kinds}
+        index_pairs = list(itertools.combinations(range(len(outcomes)), 2))
         expected = []
         for xi, kx in enumerate(kinds):
             for ky in kinds[xi:]:
                 assert repr(report.kendall_tau[(kx, ky)]) == repr(tau_b(signs[kx], signs[ky]))
             for ky in kinds[xi + 1:]:
-                for (i, j), sx, sy in zip(index_pairs, signs[kx], signs[ky]):
-                    if sx * sy < 0:
-                        expected.append(DiscordantPair(
-                            outcomes[i], outcomes[j], kx, ky,
-                            (columns[kx][i], columns[kx][j]), (columns[ky][i], columns[ky][j]),
-                        ))
-        assert len(report.discordant_pairs) == len(expected)
-        assert list(report.discordant_pairs) == expected
+                expected.extend(
+                    DiscordantPair(outcomes[i], outcomes[j], kx, ky,
+                                   (shown[kx][i], shown[kx][j]), (shown[ky][i], shown[ky][j]))
+                    for (i, j), sx, sy in zip(index_pairs, signs[kx], signs[ky]) if sx * sy < 0
+                )
+        pairs = report.discordant_pairs
+        assert len(pairs) == len(expected)
+        assert list(pairs) == expected
+        # a prefix stops the scan where it ends, and a cap past the end reads all
+        for cap in (0, 1, len(expected) // 2, len(expected), len(expected) + 1):
+            assert list(itertools.islice(pairs, cap)) == expected[:cap]
+
+    def test_reading_a_few_witnesses_holds_no_pool_of_pairs(self):
+        # 11,473 outcomes and 4,485,216 witnesses: the first 10 cost memory for
+        # themselves, not for a copy of the columns or a list of index pairs
+        pairs = rank_order_agreement(outcome_grid(150), ["neglogp", "abslogbf"]).discordant_pairs
+        assert len(pairs) == 4_485_216
+        tracemalloc.start()
+        try:
+            first = list(itertools.islice(pairs, 10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(first) == 10
+        assert peak < 64 * 1024
 
     def test_discordant_pairs_is_a_sized_reiterable_stream(self):
         pairs = rank_order_agreement(outcome_grid(9), ["neglogp", "abslogbf", "logmlr"]).discordant_pairs
