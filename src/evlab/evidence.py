@@ -302,6 +302,9 @@ def log_bf(data: BinomialOutcome, h1: Hypothesis, h2: PointHypothesis) -> float:
     if (exact := _exact_log_bf(data, h1, h2.theta0)) is not None:
         return exact
     (lo, hi), a, b = h1
+    if not data.n + a + b < math.inf:  # bounds k + a, n - k + b and the prior's a + b
+        raise ValueError(f"the shape sum n + a + b overflows a double at n={data.n}, "
+                         f"k={data.k}, a={a}, b={b}")
     post_a, post_b = data.k + a, data.n - data.k + b
     log_prior_mass = _log_truncated_beta_mass(a, b, lo, hi)
     try:
@@ -315,8 +318,12 @@ def log_bf(data: BinomialOutcome, h1: Hypothesis, h2: PointHypothesis) -> float:
     # posterior: B(k+a, n-k+b) / (theta0^k (1-theta0)^(n-k)) enters as one
     # deviance-form front, so no term of size n ln 2 is rounded.
     theta0 = h2.theta0
-    return ((_log_beta_front(theta0, a, b) - log_prior_mass)
-            - (_log_beta_front(theta0, post_a, post_b) - log_post_mass))
+    prior_front = _log_beta_front(theta0, a, b)
+    post_front = _log_beta_front(theta0, post_a, post_b)
+    if prior_front == post_front == -math.inf:  # their difference would be nan
+        raise ValueError(f"the prior and posterior log densities at theta0={theta0} both "
+                         f"overflow a double at n={data.n}, k={data.k}, a={a}, b={b}")
+    return (prior_front - log_prior_mass) - (post_front - log_post_mass)
 
 
 def support_label(log_bf_value: float) -> str:
@@ -326,18 +333,6 @@ def support_label(log_bf_value: float) -> str:
     if log_bf_value < 0.0:
         return "supports H2"
     return "transition point"
-
-
-def log_bf_irrelevant_data(m: int) -> float:
-    """Log Bayes factor contributed by m observations carrying no information
-    about the success probability (e.g. counts of an unrelated die).
-
-    Their likelihood is the same factor under either hypothesis, so it
-    cancels between numerator and denominator: the result is 0 for every m.
-    """
-    if m < 0:
-        raise ValueError(f"observation count must be nonnegative, got {m}")
-    return 0.0
 
 
 def _reported(kind: str, value: float) -> float:

@@ -152,7 +152,7 @@ def _log1mexp(t: float) -> float:
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta, modified Lentz algorithm."""
+    """ln(h / a) for the continued fraction h of the incomplete beta, modified Lentz algorithm."""
     max_iter = min(_BETACF_MIN_ITER + int(math.sqrt(max(a, b))), _BETACF_MAX_ITER)
     qab = a + b
     qap = a + 1.0
@@ -177,8 +177,8 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
             d = 1.0 / d
             delta = d * c
             h *= delta
-        if abs(delta - 1.0) < _BETACF_EPS:
-            return h
+        if abs(delta - 1.0) < _BETACF_EPS:  # h / a overflows at a subnormal a
+            return math.log(h / a) if h / a < math.inf else math.log(h) - math.log(a)
     raise ConvergenceError(
         f"incomplete beta continued fraction did not converge for "
         f"a={a}, b={b}, x={x} within {max_iter} iterations"
@@ -196,9 +196,10 @@ def regularized_incomplete_beta(x: float, a: float, b: float, log: bool = False)
     a log in deviance form, so with log=True the value stays finite where
     I_x underflows.
     """
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"incomplete beta requires positive shapes, got a={a}, b={b}")
-    if x < 0.0 or x > 1.0:
+    if not (a > 0.0 and b > 0.0 and a + b < math.inf):
+        raise ValueError(f"incomplete beta requires positive shapes with a finite sum, "
+                         f"got a={a}, b={b}")
+    if not 0.0 <= x <= 1.0:
         raise ValueError(f"incomplete beta requires x in [0,1], got x={x}")
     if x == 0.0:
         return -math.inf if log else 0.0
@@ -206,12 +207,12 @@ def regularized_incomplete_beta(x: float, a: float, b: float, log: bool = False)
         return 0.0 if log else 1.0
     log_front = _log_beta_front(x, a, b)
     if x < (a + 1.0) / (a + b + 2.0):
-        log_value = log_front + math.log(_beta_continued_fraction(a, b, x) / a)
+        log_value = log_front + _beta_continued_fraction(a, b, x)
     else:  # from ln(1 - I)
-        log_value = _log1mexp(log_front + math.log(_beta_continued_fraction(b, a, 1.0 - x) / b))
+        log_value = _log1mexp(log_front + _beta_continued_fraction(b, a, 1.0 - x))
         if log_value < _HALF_LOG_EPS:
             try:
-                log_value = log_front + math.log(_beta_continued_fraction(a, b, x) / a)
+                log_value = log_front + _beta_continued_fraction(a, b, x)
             except ConvergenceError:
                 pass
     return log_value if log else math.exp(log_value)

@@ -18,7 +18,6 @@ from evlab.evidence import (
     PointHypothesis,
     compute_evidence,
     log_bf,
-    log_bf_irrelevant_data,
     log_mlr,
     log_slr,
     neg_log_p,
@@ -28,7 +27,7 @@ from evlab.evidence import (
 from evlab.scale import outcome_grid, rank_order_agreement, unit_distortion
 from evlab.transition import RIDE_TRP, SHRINK_N, trp_composite, trp_simple, zero_path
 
-from _oracles import p_value_fraction, quad_log_bf
+from _oracles import bf_fraction, log_fraction, p_value_fraction, quad_log_bf
 
 FAIR = PointHypothesis(0.5)
 
@@ -164,9 +163,26 @@ def test_criterion_08_rank_order_disagreement_with_witnesses(report):
 
 
 def test_criterion_09_irrelevant_observations_leave_the_bayes_factor_at_zero(report):
-    ok = all(log_bf_irrelevant_data(m) == 0.0 for m in (0, 1, 10**3, 10**6))
-    report(9, "irrelevant observation counts contribute exactly 0 to log BF", ok)
-    assert ok
+    # The order of the trials carries no information about theta: the count
+    # likelihood is the sequence likelihood times C(n, k) under every theta. So
+    # log BF from the counts must equal the log of the exact ratio of sequence
+    # likelihoods, on the exact path (up to about n = 510 at theta0 = 1/2 and
+    # n = 18 at 0.3) and on the float path past it.
+    worst = 0.0
+    cases = 0
+    for theta0 in (0.5, 0.3):
+        for a, b in ((1, 1), (2, 5)):
+            h1, h2 = CompositeHypothesis((0.0, 1.0), a, b), PointHypothesis(theta0)
+            for n in (0, 1, 7, 40, 200, 600):
+                for k in sorted({0, n // 3, n}):
+                    got = log_bf(BinomialOutcome(n, k), h1, h2)
+                    expected = log_fraction(bf_fraction(n, k, theta0, a, b))
+                    worst = max(worst, abs(got - expected) / max(1.0, abs(expected)))
+                    cases += 1
+    ok = worst <= 1e-12 and cases >= 60
+    report(9, f"the order of the trials adds 0 to log BF: within 1e-12 of the exact "
+              f"sequence-likelihood ratio on {cases} cases", ok)
+    assert ok, (worst, cases)
 
 
 CLI_INVOCATIONS = [

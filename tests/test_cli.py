@@ -227,6 +227,34 @@ class TestCompute:
             "evlab: error: posterior mass is zero to double precision for n=100.0, k=0.0 "
             "on support [0.2, 0.20000000000000004]\n")
 
+    @pytest.mark.parametrize("argv, inputs", [
+        ("--mode continuous --n 1.7e308 --k 1.7e308 --bf beta:1e308,1",
+         "n=1.7e+308, k=1.7e+308, a=1e+308, b=1.0"),
+        ("--mode continuous --n 1e308 --k 1e308 --bf beta:1.7e308,1",
+         "n=1e+308, k=1e+308, a=1.7e+308, b=1.0"),
+        ("--n 10 --k 5 --bf beta:1e308,1e308", "n=10.0, k=5.0, a=1e+308, b=1e+308"),
+    ])
+    def test_a_shape_sum_past_the_largest_double_is_an_error(self, capsys, argv, inputs):
+        # each printed a log BF of nan and exited 0
+        assert main(["compute", *argv.split(), "--kinds", "logbf"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"evlab: error: the shape sum n + a + b overflows a double at {inputs}\n")
+
+    def test_subnormal_prior_shapes_have_a_value(self, capsys):
+        # BF is about a / 2 = 2.5e-324; h / a overflowed at a = 5e-324 and log BF read -inf
+        status, out = run_cli(capsys, "compute", "--n", "10", "--k", "2", "--bf",
+                              "beta:5e-324,5e-324", "--support", "0,5e-324", "--null", "5e-324",
+                              "--kinds", "logbf")
+        assert status == 0
+        assert out == "kind,n,k,value\nlogbf,10,2,-745.133219102\n"
+
+    def test_the_largest_finite_shape_sum_has_a_value(self, capsys):
+        status, out = run_cli(capsys, "compute", "--n", "1e308", "--k", "1e308", "--bf", "uniform")
+        assert status == 0
+        assert out == "kind,n,k,value\nlogbf,1e+308,1e+308,6.9314718056e+307\n"
+
     def test_huge_n_names_the_shapes_the_fraction_cannot_take(self, capsys):
         # past shapes of about 1e154 the continued fraction's products overflow;
         # it stops at its iteration bound and names the inputs

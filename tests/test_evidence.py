@@ -11,6 +11,7 @@ from scipy import integrate, stats
 from evlab.evidence import (
     CONTINUOUS,
     EVIDENCE_KINDS,
+    MODES,
     BinomialOutcome,
     CompositeHypothesis,
     DegeneratePriorError,
@@ -18,7 +19,6 @@ from evlab.evidence import (
     binomial_log_pmf,
     compute_evidence,
     log_bf,
-    log_bf_irrelevant_data,
     log_mlr,
     log_slr,
     neg_log_p,
@@ -29,6 +29,7 @@ from evlab.evidence import (
 )
 from evlab.scale import AgreementConfig, outcome_grid
 
+from _contract import EXTREME_DOUBLES, NONNEGATIVE, UNIT, check_contract
 from _oracles import (
     beta_fraction,
     bf_fraction,
@@ -416,6 +417,52 @@ class TestLogBf:
         assert log_bf(data, CompositeHypothesis((0.0, 0.5)), FAIR) == pytest.approx(
             log_fraction(bf), rel=1e-13)
 
+    @pytest.mark.parametrize("n, k, a, b", [
+        (1.7e308, 1.7e308, 1e308, 1.0), (1e308, 1e308, 1.7e308, 1.0), (10.0, 5.0, 1e308, 1e308),
+    ])
+    def test_a_shape_sum_past_the_largest_double_is_an_error(self, n, k, a, b):
+        # k + a, n - k + b or the prior's a + b overflows, where log BF was nan
+        h1 = CompositeHypothesis((0.0, 1.0), a, b)
+        for data in (BinomialOutcome(n, k), BinomialOutcome(n, k, CONTINUOUS)):
+            with pytest.raises(ValueError) as err:
+                log_bf(data, h1, FAIR)
+            assert f"n={n}, k={k}, a={a}, b={b}" in str(err.value)
+
+    def test_log_densities_at_theta0_that_both_overflow_are_an_error(self):
+        # b ln(1 - theta0) is about -3.7e308: both log densities at theta0 are
+        # -inf, and their difference was nan
+        h1 = CompositeHypothesis((0.0, 5e-324), 5e-324, 1e307)
+        with pytest.raises(ValueError, match="both overflow a double at n=0, k=0"):
+            log_bf(BinomialOutcome(0, 0), h1, PointHypothesis(1.0 - 2.0**-53))
+
+    def test_the_largest_shape_sums_are_finite(self):
+        # BF = 2**n / (n + 1) under the uniform prior at k = n
+        got = log_bf(BinomialOutcome(1e308, 1e308), CompositeHypothesis(), FAIR)
+        assert got == pytest.approx(1e308 * math.log(2.0), rel=1e-15)
+        largest = sys.float_info.max
+        h1 = CompositeHypothesis((0.0, 1.0), largest / 2, largest / 2)
+        assert math.isfinite(log_bf(BinomialOutcome(0, 0), h1, FAIR))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), mode=st.sampled_from(MODES))
+    def test_error_contract_over_extreme_doubles(self, data, mode):
+        """Every argument is one of the extreme doubles, inside the bounds its
+        record checks, so that most draws reach log_bf itself."""
+        n = data.draw(NONNEGATIVE)
+        k = data.draw(st.one_of(st.just(n), UNIT.map(lambda u: u * n)))
+        support = tuple(sorted((data.draw(UNIT), data.draw(UNIT))))
+        a, b, theta0 = data.draw(NONNEGATIVE), data.draw(NONNEGATIVE), data.draw(UNIT)
+        check_contract(lambda: log_bf(BinomialOutcome(n, k, mode),
+                                      CompositeHypothesis(support, a, b), PointHypothesis(theta0)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=EXTREME_DOUBLES, k=EXTREME_DOUBLES, lo=EXTREME_DOUBLES, hi=EXTREME_DOUBLES,
+           a=EXTREME_DOUBLES, b=EXTREME_DOUBLES, theta0=EXTREME_DOUBLES,
+           mode=st.sampled_from(MODES))
+    def test_error_contract_over_every_extreme_double(self, n, k, lo, hi, a, b, theta0, mode):
+        check_contract(lambda: log_bf(BinomialOutcome(n, k, mode),
+                                      CompositeHypothesis((lo, hi), a, b), PointHypothesis(theta0)))
+
     def test_mass_below_double_resolution_raises(self):
         # a support one double wide at 0.3, where ln I_U and ln I_L round equal
         lo = 0.3
@@ -576,16 +623,6 @@ class TestAbsLogBf:
         assert support_label(0.7) == "supports H1"
         assert support_label(-0.7) == "supports H2"
         assert support_label(0.0) == "transition point"
-
-
-class TestIrrelevantData:
-    def test_always_zero(self):
-        for m in (0, 1, 100, 10**6):
-            assert log_bf_irrelevant_data(m) == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            log_bf_irrelevant_data(-1)
 
 
 class TestComputeEvidence:

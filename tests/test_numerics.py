@@ -20,6 +20,7 @@ from evlab.numerics import (
     _stirlerr,
 )
 
+from _contract import EXTREME_DOUBLES, NONNEGATIVE, UNIT, check_contract
 from _oracles import incomplete_beta_fraction, log_fraction
 
 
@@ -189,12 +190,32 @@ class TestIncompleteBeta:
             _beta_continued_fraction(0.5, 1e4, 0.5)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(-0.1, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(1.1, 1.0, 1.0)
+        for x in (-0.1, 1.1, math.nan):
+            with pytest.raises(ValueError, match=re.escape(f"got x={x}")):
+                regularized_incomplete_beta(x, 1.0, 1.0)
         with pytest.raises(ValueError):
             regularized_incomplete_beta(0.5, 0.0, 1.0)
+
+    @pytest.mark.parametrize("x", [5e-324, 0.5, 1.0 - 2.0**-53])
+    def test_subnormal_shapes(self, x):
+        # Beta(e, e) has half its mass at each end as e -> 0, so I_x is 1/2 on (0, 1);
+        # h / a overflowed at a = 5e-324, and ln I_x read inf
+        assert regularized_incomplete_beta(x, 5e-324, 5e-324, log=True) == pytest.approx(
+            -math.log(2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("a, b", [
+        (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1e308, 1e308),
+    ])
+    def test_shapes_need_a_finite_sum(self, a, b):
+        # an infinite shape reached int() in the iteration cap, an OverflowError
+        with pytest.raises(ValueError, match=re.escape(f"got a={a}, b={b}")):
+            regularized_incomplete_beta(0.5, a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.one_of(EXTREME_DOUBLES, UNIT), a=st.one_of(EXTREME_DOUBLES, NONNEGATIVE),
+           b=st.one_of(EXTREME_DOUBLES, NONNEGATIVE), log=st.booleans())
+    def test_error_contract_over_extreme_doubles(self, x, a, b, log):
+        check_contract(lambda: regularized_incomplete_beta(x, a, b, log))
 
 
 class TestFindRoot:
