@@ -38,8 +38,8 @@ _BETACF_TINY = 1e-300
 # half the digits of a double.
 _HALF_LOG_EPS = 0.5 * math.log(sys.float_info.epsilon)
 _DBL_MIN = sys.float_info.min  # the smallest normal double
-# Default root-finder bracket tolerance on the argument, and the largest |f|
-# that find_root accepts at a root before the bracket reaches adjacent doubles.
+# find_root's bracket tolerance on the argument, and the largest |f| that it
+# accepts at a root before the bracket reaches adjacent doubles.
 DEFAULT_TOL = 1e-12
 RESIDUAL_LIMIT = 1e-8
 
@@ -177,6 +177,11 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
             d = 1.0 / d
             delta = d * c
             h *= delta
+        if not 0.0 < abs(h) < math.inf:  # overflowed terms: no later step can mend h
+            raise ConvergenceError(
+                f"incomplete beta continued fraction did not converge for "
+                f"a={a}, b={b}, x={x}: its convergent is {h} at iteration {m}"
+            )
         if abs(delta - 1.0) < _BETACF_EPS:  # h / a overflows at a subnormal a
             return math.log(h / a) if h / a < math.inf else math.log(h) - math.log(a)
     raise ConvergenceError(
@@ -218,23 +223,19 @@ def regularized_incomplete_beta(x: float, a: float, b: float, log: bool = False)
     return log_value if log else math.exp(log_value)
 
 
-def find_root(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = DEFAULT_TOL
-) -> tuple[float, float, float]:
+def find_root(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float, float]:
     """Locate a zero of f inside the bracket [lo, hi] by plain bisection.
 
-    f must take values of strictly opposite sign at lo and hi; tol is the
-    absolute tolerance on the argument. Deterministic: no randomized or
-    derivative-based steps. Returns (x, f(x), width): the first bracket
-    midpoint where the bracket is no wider than tol and |f| is at most
-    RESIDUAL_LIMIT, an exact zero of f (width 0), or, once no double lies
-    strictly between the ends, the end their midpoint rounds to. Each step
-    halves the bracket, so any tol terminates.
+    f must take values of strictly opposite sign at lo and hi.
+    Deterministic: no randomized or derivative-based steps. Returns (x,
+    f(x), width): the first bracket midpoint where the bracket is no wider
+    than DEFAULT_TOL and |f| is at most RESIDUAL_LIMIT, an exact zero of f
+    (width 0), or, once no double lies strictly between the ends, the end
+    their midpoint rounds to. Each step halves the bracket, so it always
+    terminates.
     """
     if not lo < hi:
         raise ValueError(f"bracket requires lo < hi, got [{lo}, {hi}]")
-    if not tol > 0.0:
-        raise ValueError(f"bracket tolerance must be positive, got {tol}")
     f_lo = f(lo)
     f_hi = f(hi)
     if f_lo == 0.0 or f_hi == 0.0 or (f_lo < 0.0) == (f_hi < 0.0):
@@ -244,7 +245,7 @@ def find_root(
         )
     while lo < (mid := 0.5 * (lo + hi)) < hi:  # false once lo and hi are adjacent doubles
         f_mid = f(mid)
-        if hi - lo <= tol and abs(f_mid) <= RESIDUAL_LIMIT:
+        if hi - lo <= DEFAULT_TOL and abs(f_mid) <= RESIDUAL_LIMIT:
             return mid, f_mid, hi - lo
         if f_mid == 0.0:
             return mid, 0.0, 0.0

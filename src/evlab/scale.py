@@ -64,8 +64,8 @@ def classify_transformation(f: Callable[[float], float], grid: Sequence[float]) 
     scalar is an affine f with |f(0)| within that tolerance; where f(0) is
     undefined, the chord's intercept must be within it, widened by how far
     0 lies from the grid. An affine f counts as order preserving even where
-    rounding leaves its values flat. A value of f that is not finite raises
-    ValueError.
+    rounding leaves its values flat. A value of f that is not finite, or an
+    f that raises at a grid point, raises ValueError.
     """
     pts = [float(x) for x in grid]
     if len(pts) < 4:
@@ -73,7 +73,7 @@ def classify_transformation(f: Callable[[float], float], grid: Sequence[float]) 
     if any(b <= a for a, b in itertools.pairwise(pts)):
         raise ValueError("grid must be strictly increasing")
 
-    vals = [f(x) for x in pts]
+    vals = [_at(f, x) for x in pts]
     for x, v in zip(pts, vals):
         if not math.isfinite(v):
             raise ValueError(f"f is not finite at x={x:g}, got {v}")
@@ -90,6 +90,15 @@ def classify_transformation(f: Callable[[float], float], grid: Sequence[float]) 
         affine=affine,
         positive_scalar=affine and _zero_intercept(f, pts, v0, slope, tol),
     )
+
+
+def _at(f: Callable[[float], float], x: float) -> float:
+    """f(x), where a ValueError, OverflowError or ZeroDivisionError of f (math's
+    bare "math domain error", say) becomes a ValueError naming x."""
+    try:
+        return f(x)
+    except (ValueError, OverflowError, ZeroDivisionError) as err:
+        raise ValueError(f"f fails at x={x!r}: {err}") from err
 
 
 def _zero_intercept(f: Callable[[float], float], pts: list[float], v0: float,
@@ -116,19 +125,20 @@ def unit_distortion(f: Callable[[float], float], interval: tuple[float, float], 
     (to rounding); larger values quantify rubber-scale stretching, e.g. the
     natural log maps a unit step near 50 to about twice the step near 100.
     A map that is not increasing somewhere gives inf; a unit that some x
-    absorbs (x + unit == x), or a step that is not finite, raises ValueError.
+    absorbs (x + unit == x), a step that is not finite, or an f that raises
+    at some x, raises ValueError.
     """
     lo, hi = interval
-    if unit <= 0.0:
+    if not unit > 0.0:  # so that a nan is named here, not as a width that overflows
         raise ValueError(f"unit must be positive, got {unit}")
-    if hi - lo < 2.0 * unit:
+    if not hi - lo >= 2.0 * unit:
         raise ValueError(
             f"interval ({lo}, {hi}) must span at least two units of {unit}"
         )
     xs = linspace(lo, hi - unit, DISTORTION_SAMPLES)
     if any(x + unit == x for x in xs):
         raise ValueError(f"unit {unit:g} is below the double spacing on ({lo:g}, {hi:g})")
-    steps = [f(x + unit) - f(x) for x in xs]
+    steps = [_at(f, x + unit) - _at(f, x) for x in xs]
     if not all(map(math.isfinite, steps)):
         raise ValueError(f"a unit step of f is not finite on ({lo}, {hi})")
     min_step = min(steps)

@@ -1,7 +1,6 @@
 import argparse
 import contextlib
 import csv
-import functools
 import io
 import json
 import math
@@ -14,12 +13,12 @@ import tracemalloc
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from evlab import cli, transition
+from evlab import cli
 from evlab.cli import build_parser, main
 from evlab.evidence import (
-    EVIDENCE_KINDS, EXACT, LOG_SCALE_KINDS, CompositeHypothesis, PointHypothesis)
-from evlab.numerics import find_root
-from evlab.transition import RESIDUAL_LIMIT
+    CONTINUOUS, EVIDENCE_KINDS, EXACT, LOG_SCALE_KINDS, BinomialOutcome, CompositeHypothesis,
+    PointHypothesis, log_bf)
+from evlab.transition import BRACKET_MARGIN, RESIDUAL_LIMIT
 
 from test_readme import _examples as readme_examples
 
@@ -257,14 +256,15 @@ class TestCompute:
 
     def test_huge_n_names_the_shapes_the_fraction_cannot_take(self, capsys):
         # past shapes of about 1e154 the continued fraction's products overflow;
-        # it stops at its iteration bound and names the inputs
+        # it stops at the first iteration whose convergent is lost and names the inputs
         assert main(["figure1", "b", "--n", "1e306", "--grid", "5"]) == 1
         captured = capsys.readouterr()
         # rows are written as they are made, so the header is out before the failure
         assert captured.out == "variant,n,y,log_es,abs_log_es,side,row_type\n"
         assert captured.err == (
             "evlab: error: incomplete beta continued fraction did not converge for "
-            "a=9.9e+305, b=1.0000000000000001e+304, x=0.5 within 1048576 iterations\n")
+            "a=9.9e+305, b=1.0000000000000001e+304, x=0.5: its convergent is nan at "
+            "iteration 1\n")
 
 
 class TestFigure1:
@@ -417,21 +417,22 @@ class TestTrp:
 
     @pytest.mark.parametrize("command", [["figure1", "b", "--n", "10", "--grid", "3"],
                                          ["trp", "--n", "10"], ["zero-paths", "ride-trp"]])
-    def test_tol_below_the_double_spacing_finds_the_root(self, capsys, monkeypatch, command):
-        # a find_root tol below the double spacing bisects to adjacent doubles;
-        # each command's root at the fixed stopping rule is within 1e-12 of that one
-        with monkeypatch.context() as patch:
-            patch.setattr(transition, "find_root", functools.partial(find_root, tol=1e-20))
-            exact = transition.trp_composite(10.0, CompositeHypothesis((0.0, 0.5)),
-                                             PointHypothesis(0.5))
-        assert exact.bracket_width == pytest.approx(math.ulp(exact.trp_y), rel=1e-9)
-        assert exact.trp_y == pytest.approx(GOLDEN_TRP_N10, abs=1e-15)
+    def test_roots_are_within_tol_of_a_bisection_to_adjacent_doubles(self, capsys, command):
+        # the default one-sided root at n = 10, bisected here until no double lies
+        # between the ends; each command's root is within 1e-12 of it
+        h1, h2 = CompositeHypothesis((0.0, 0.5)), PointHypothesis(0.5)
+        g = lambda y: log_bf(BinomialOutcome(10.0, 10.0 * y, CONTINUOUS), h1, h2)
+        lo, hi = BRACKET_MARGIN, 0.5 - BRACKET_MARGIN
+        g_lo = g(lo)
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if (g(mid) < 0.0) == (g_lo < 0.0) else (lo, mid)
+        assert math.nextafter(lo, 1.0) == hi
+        assert lo == pytest.approx(GOLDEN_TRP_N10, abs=1e-15)
         status, out = run_cli(capsys, *command)
         assert status == 0
         _, rows = parse_csv(out)
         y = {"figure1": "y", "trp": "trp_y", "zero-paths": "y"}[command[0]]
-        assert float(rows[-1 if command[0] == "figure1" else 0][y]) == pytest.approx(
-            exact.trp_y, abs=1e-12)
+        assert float(rows[-1 if command[0] == "figure1" else 0][y]) == pytest.approx(lo, abs=1e-12)
 
     def test_bracket_width_is_the_width_reached(self, capsys):
         # bisection halves [1e-6, 0.5 - 1e-6] to the first width at most 1e-12
@@ -524,9 +525,10 @@ class TestHandlerUsageError:
          "argument --bf: prior shapes must be positive and finite, got a=0.0, b=1.0\n"),
         (["zero-paths", "shrink-n", "--against", "2,3"],
          "argument --against: point hypothesis requires theta0 in (0,1), got 2.0\n"),
-        # exp overflows on the interval: an OverflowError, not a ValueError
+        # exp overflows on the interval: the library names the x where it does
         (["audit", "transform", "--f", "exp", "--interval", "0,1000"],
-         "transform exp on --interval 0,1000: math range error\n"),
+         "transform exp on --interval 0,1000: f fails at x=714.2857142857143: "
+         "math range error\n"),
     ])
     def test_names_its_subcommand(self, capsys, argv, message):
         # as an argparse type error does, with the usage of the subcommand

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -21,13 +22,24 @@ from evlab.scale import (
     _sort_counting_swaps,
 )
 from evlab.numerics import linspace
+from evlab._flags import _TRANSFORMS
 
+from _contract import EXTREME_DOUBLES, NONNEGATIVE, check_contract
 from _oracles import discordant_count, pair_signs, tau_b
 
 
 # Few distinct values, so ties are common, among any floats but NaN.
 TAU_VALUES = st.sampled_from([-math.inf, -2.5, -0.0, 0.0, 1.0, 3.0, math.inf]) | st.floats(
     allow_nan=False
+)
+
+
+# The maps `audit transform --f` takes: the named ones, and affine:slope,intercept
+# with any doubles.
+TRANSFORMS = st.one_of(
+    st.sampled_from(sorted(_TRANSFORMS)).map(_TRANSFORMS.get),
+    st.builds(lambda slope, intercept: lambda x: slope * x + intercept,
+              EXTREME_DOUBLES, EXTREME_DOUBLES),
 )
 
 
@@ -188,6 +200,21 @@ class TestClassifyTransformation:
         with pytest.raises(ValueError, match="f is not finite at x="):
             classify_transformation(f, grid)
 
+    @pytest.mark.parametrize("f, grid, x", [
+        (math.log, [-1.0, 1.0, 2.0, 3.0], "-1.0"),  # math domain error
+        (math.exp, [0.0, 1.0, 2.0, 1000.0], "1000.0"),  # math range error, an OverflowError
+        (lambda x: 1.0 / x, [-1.0, 0.0, 1.0, 2.0], "0.0"),  # a ZeroDivisionError
+    ])
+    def test_an_f_that_raises_is_a_value_error_naming_x(self, f, grid, x):
+        with pytest.raises(ValueError, match=f"^f fails at x={re.escape(x)}: ") as info:
+            classify_transformation(f, grid)
+        assert type(info.value) is ValueError
+
+    @settings(max_examples=200, deadline=None)
+    @given(f=TRANSFORMS, grid=st.lists(EXTREME_DOUBLES, min_size=3, max_size=8).map(sorted))
+    def test_error_contract_over_extreme_doubles(self, f, grid):
+        check_contract(lambda: classify_transformation(f, grid))
+
 
 class TestUnitDistortion:
     def test_affine_is_one(self):
@@ -240,11 +267,35 @@ class TestUnitDistortion:
         with pytest.raises(ValueError, match=r"unit 1 is below the double spacing on \("):
             unit_distortion(f, interval, 1.0)
 
-    def test_interval_too_small(self):
-        with pytest.raises(ValueError):
-            unit_distortion(math.log, (10.0, 11.0), 1.0)
-        with pytest.raises(ValueError):
-            unit_distortion(math.log, (10.0, 20.0), 0.0)
+    def test_an_interval_of_exactly_two_units_is_enough(self):
+        assert unit_distortion(lambda x: 2.0 * x, (10.0, 12.0), 1.0) == 1.0
+
+    @pytest.mark.parametrize("interval, unit, message", [
+        ((10.0, 11.0), 1.0, "interval (10.0, 11.0) must span at least two units of 1.0"),
+        ((10.0, 20.0), 0.0, "unit must be positive, got 0.0"),
+        # a nan is named as the input it is, not as a width that overflows
+        ((10.0, 20.0), math.nan, "unit must be positive, got nan"),
+        ((math.nan, 20.0), 1.0, "interval (nan, 20.0) must span at least two units of 1.0"),
+        ((10.0, math.nan), 1.0, "interval (10.0, nan) must span at least two units of 1.0"),
+    ])
+    def test_interval_too_small(self, interval, unit, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            unit_distortion(math.log, interval, unit)
+
+    @pytest.mark.parametrize("f, interval, x", [
+        (math.log, (-1.0, 5.0), "0.0"),  # f(x + unit) comes first, at x = -1
+        (math.exp, (0.0, 1000.0), "710.1094284318515"),  # the first step past 709.78
+    ])
+    def test_an_f_that_raises_is_a_value_error_naming_x(self, f, interval, x):
+        with pytest.raises(ValueError, match=f"^f fails at x={re.escape(x)}: math ") as info:
+            unit_distortion(f, interval, 1.0)
+        assert type(info.value) is ValueError
+
+    @settings(max_examples=200, deadline=None)
+    @given(f=TRANSFORMS, interval=st.lists(EXTREME_DOUBLES, min_size=2, max_size=2).map(sorted),
+           unit=st.one_of(EXTREME_DOUBLES, NONNEGATIVE))
+    def test_error_contract_over_extreme_doubles(self, f, interval, unit):
+        check_contract(lambda: unit_distortion(f, tuple(interval), unit))
 
 
 class TestPermissible:

@@ -50,7 +50,7 @@ class TestTrpSimple:
     def test_matches_bisection_of_log_slr(self):
         h1, h2 = PointHypothesis(0.1), PointHypothesis(0.5)
         f = lambda y: log_slr(BinomialOutcome(1.0, y, CONTINUOUS), h1, h2)
-        numeric, _, _ = find_root(f, 0.1, 0.5, tol=1e-12)
+        numeric, _, _ = find_root(f, 0.1, 0.5)
         assert trp_simple(0.1, 0.5) == pytest.approx(numeric, abs=1e-10)
         assert 0.1 < trp_simple(0.1, 0.5) < 0.5
 
