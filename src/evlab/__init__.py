@@ -19,7 +19,7 @@ _HOMES = {
     **dict.fromkeys((
         "BinomialOutcome", "PointHypothesis", "CompositeHypothesis", "Hypothesis",
         "EvidenceValue", "EXACT", "CONTINUOUS", "EVIDENCE_KINDS", "LOG_SCALE_KINDS",
-        "binomial_log_pmf", "p_value_two_sided", "neg_log_p", "log_mlr", "log_slr",
+        "p_value_two_sided", "neg_log_p", "log_mlr", "log_slr",
         "log_bf", "support_label", "compute_evidence",
         "DegeneratePriorError",
     ), "evidence"),

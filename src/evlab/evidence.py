@@ -140,26 +140,6 @@ class EvidenceValue(NamedTuple):
     value: float
 
 
-def binomial_log_pmf(data: BinomialOutcome, theta: float) -> float:
-    """Log of the binomial mass C(n,k) theta^k (1-theta)^(n-k).
-
-    theta must lie strictly inside (0, 1). Valid for real n, k in
-    continuous mode. Taken in Loader's deviance form, stirlerr(n) -
-    (stirlerr(k) + stirlerr(n-k)) - (bd0(k, n theta) + bd0(n-k, n (1-theta)))
-    + 1/2 ln(n / (2 pi k (n-k))), so it keeps its digits at large n; at k = 0
-    and k = n it is n ln(1-theta) and n ln(theta).
-    """
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must be in (0,1), got {theta}")
-    n, k = data.n, data.k
-    if k == n:
-        return _xlogy(n, theta)
-    if k == 0:
-        return n * math.log1p(-theta)
-    # the beta front at theta with shapes k and n - k is k (n-k) / n times the mass
-    return _log_beta_front(theta, k, n - k) - ((math.log(k) + math.log(n - k)) - math.log(n))
-
-
 def _two_sided_count(data: BinomialOutcome, null: PointHypothesis) -> tuple[int, int]:
     """(n, c): the two-sided p-value is exactly c / 2**n."""
     if null.theta0 != 0.5:

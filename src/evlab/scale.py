@@ -19,6 +19,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .evidence import (
     BF_KINDS,
+    EVIDENCE_KINDS,
     BinomialOutcome,
     CompositeHypothesis,
     Hypothesis,
@@ -124,13 +125,15 @@ def unit_distortion(f: Callable[[float], float], interval: tuple[float, float], 
     DISTORTION_SAMPLES evenly spaced x on [lo, hi-unit]. Affine maps give 1
     (to rounding); larger values quantify rubber-scale stretching, e.g. the
     natural log maps a unit step near 50 to about twice the step near 100.
-    A map that is not increasing somewhere gives inf; a unit that some x
-    absorbs (x + unit == x), a step that is not finite, or an f that raises
-    at some x, raises ValueError.
+    A map that is not increasing somewhere gives inf; a unit that is not
+    positive and finite, a unit that some x absorbs (x + unit == x), a step
+    that is not finite, or an f that raises at some x, raises ValueError.
     """
     lo, hi = interval
     if not unit > 0.0:  # so that a nan is named here, not as a width that overflows
         raise ValueError(f"unit must be positive, got {unit}")
+    if unit == math.inf:  # and so is an infinite one, not as the nan of hi - unit
+        raise ValueError("unit must be finite, got inf")
     if not hi - lo >= 2.0 * unit:
         raise ValueError(
             f"interval ({lo}, {hi}) must span at least two units of {unit}"
@@ -299,7 +302,7 @@ def rank_order_agreement(grid: Sequence[BinomialOutcome], kinds: Sequence[str]) 
     evidence.log_bf). The ratio kinds mlr, slr and bf are ranked by their
     logs; their witnesses show the ratio. Outcomes on which some statistic
     cannot be computed are excluded from all comparisons and reported. An
-    empty grid and a kind given more than once are ValueErrors.
+    empty grid, an unknown kind and a kind given more than once are ValueErrors.
     Deterministic given the grid order. Time is O(m log m) per kind pair
     and memory O(m) for m kept outcomes; the witnesses are generated only
     when read.
@@ -309,6 +312,8 @@ def rank_order_agreement(grid: Sequence[BinomialOutcome], kinds: Sequence[str]) 
     config = AgreementConfig()
     kinds = tuple(kinds)
     for i, kind in enumerate(kinds):
+        if kind not in EVIDENCE_KINDS:
+            raise ValueError(f"unknown evidence kind {kind!r}; expected one of {EVIDENCE_KINDS}")
         if kind in kinds[:i]:
             raise ValueError(f"agreement requires distinct kinds, got {kind!r} more than once")
 

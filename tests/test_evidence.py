@@ -16,7 +16,6 @@ from evlab.evidence import (
     CompositeHypothesis,
     DegeneratePriorError,
     PointHypothesis,
-    binomial_log_pmf,
     compute_evidence,
     log_bf,
     log_mlr,
@@ -37,7 +36,6 @@ from _oracles import (
     log_fraction,
     mlr_fraction,
     p_value_fraction,
-    pascal_row,
     quad_log_bf,
     slr_fraction,
 )
@@ -112,74 +110,6 @@ class TestHypotheses:
 
         total, _ = integrate.quad(density, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=300)
         assert abs(total - 1.0) <= 1e-10
-
-
-class TestBinomialLogPmf:
-    def test_single_fair_toss(self):
-        data = BinomialOutcome(1, 1)
-        assert binomial_log_pmf(data, 0.5) == pytest.approx(math.log(0.5), abs=1e-13)
-
-    def test_two_tosses(self):
-        data = BinomialOutcome(2, 1)
-        assert binomial_log_pmf(data, 0.5) == pytest.approx(math.log(0.5), abs=1e-13)
-
-    def test_matches_exact_enumeration(self):
-        for n in range(1, 16):
-            row = pascal_row(n)
-            for k in range(n + 1):
-                exact = Fraction(row[k]) * Fraction(1, 3) ** k * Fraction(2, 3) ** (n - k)
-                got = binomial_log_pmf(BinomialOutcome(n, k), 1.0 / 3.0)
-                assert math.isclose(got, math.log(float(exact)), rel_tol=1e-11), (n, k)
-
-    def test_theta_domain(self):
-        with pytest.raises(ValueError):
-            binomial_log_pmf(BinomialOutcome(2, 1), 0.0)
-        with pytest.raises(ValueError):
-            binomial_log_pmf(BinomialOutcome(2, 1), 1.0)
-
-    def test_edges_are_the_point_likelihood(self):
-        # the coefficient is 1 at k = 0 and k = n
-        assert binomial_log_pmf(BinomialOutcome(10, 0), 0.3) == 10 * math.log1p(-0.3)
-        assert binomial_log_pmf(BinomialOutcome(10, 10), 0.3) == 10 * math.log(0.3)
-        assert binomial_log_pmf(BinomialOutcome(0, 0), 0.3) == 0.0
-
-    def test_small_values(self):
-        assert math.isclose(binomial_log_pmf(BinomialOutcome(4, 2), 0.5), math.log(6 / 16),
-                            rel_tol=1e-12)
-        assert math.isclose(binomial_log_pmf(BinomialOutcome(10, 5), 0.5),
-                            math.log(252 / 1024), rel_tol=1e-12)
-
-    def test_matches_pascal_triangle(self):
-        for n in range(0, 61):
-            for k, exact in enumerate(pascal_row(n)):
-                got = binomial_log_pmf(BinomialOutcome(n, k), 0.5)
-                assert math.isclose(got, math.log(exact) - n * math.log(2.0),
-                                    rel_tol=1e-13, abs_tol=1e-14), (n, k)
-
-    @pytest.mark.parametrize("n, k, theta", [
-        (7.5, 2.25, 0.3), (0.3, 0.12, 0.5), (1e7, 4_999_000.5, 0.5), (1e7, 3.5, 1e-6),
-        (2e6, 1_999_990.0, 0.999),
-    ])
-    def test_real_arguments(self, n, k, theta):
-        # the gamma-extended mass, against 50-digit mpmath
-        with mpmath.workdps(50):
-            n_, k_, t = mpmath.mpf(n), mpmath.mpf(k), mpmath.mpf(theta)
-            expected = (mpmath.loggamma(n_ + 1) - mpmath.loggamma(k_ + 1)
-                        - mpmath.loggamma(n_ - k_ + 1) + k_ * mpmath.log(t)
-                        + (n_ - k_) * mpmath.log(1 - t))
-        got = binomial_log_pmf(BinomialOutcome(n, k, CONTINUOUS), theta)
-        assert got == pytest.approx(float(expected), rel=1e-13, abs=1e-13)
-
-    def test_mirrored_data_tie_exactly(self):
-        for n, k in ((10, 3), (10**7, 4_999_000), (12345, 1)):
-            assert (binomial_log_pmf(BinomialOutcome(n, k), 0.5)
-                    == binomial_log_pmf(BinomialOutcome(n, n - k), 0.5))
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            binomial_log_pmf(BinomialOutcome(5.0, -0.5, CONTINUOUS), 0.5)
-        with pytest.raises(ValueError):
-            binomial_log_pmf(BinomialOutcome(5.0, 5.5, CONTINUOUS), 0.5)
 
 
 class TestPValue:

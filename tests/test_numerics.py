@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -18,11 +19,12 @@ from evlab.numerics import (
     regularized_incomplete_beta,
     _bd0,
     _beta_continued_fraction,
+    _log_beta_front,
     _stirlerr,
 )
 
 from _contract import EXTREME_DOUBLES, NONNEGATIVE, UNIT, check_contract
-from _oracles import incomplete_beta_fraction, log_fraction
+from _oracles import beta_fraction, incomplete_beta_fraction, log_fraction
 
 
 class TestLogGamma:
@@ -90,6 +92,37 @@ class TestBd0:
             xm, m = mpmath.mpf(x), mpmath.mpf(n) * mpmath.mpf(p)
             expected = xm * mpmath.log(xm / m) + m - xm
         assert _bd0(x, n, p) == pytest.approx(float(expected), rel=1e-14)
+
+
+class TestLogBetaFront:
+    # ln[x^a (1-x)^b / B(a, b)], the deviance-form kernel of every log BF and
+    # incomplete beta
+
+    @pytest.mark.parametrize("x, max_n", [(0.5, 60), (1.0 / 3.0, 15)])
+    def test_integer_shapes_match_exact_rationals(self, x, max_n):
+        t = Fraction(x)  # the double x, exactly
+        for n in range(2, max_n + 1):
+            for a in range(1, n):
+                exact = log_fraction(t**a * (1 - t) ** (n - a) / beta_fraction(a, n - a))
+                assert math.isclose(_log_beta_front(x, a, n - a), exact,
+                                    rel_tol=1e-13, abs_tol=1e-14), (n, a)
+
+    @pytest.mark.parametrize("n, k, x", [
+        (7.5, 2.25, 0.3), (0.3, 0.12, 0.5), (1e7, 4_999_000.5, 0.5), (1e7, 3.5, 1e-6),
+        (2e6, 1_999_990.0, 0.999),
+    ])
+    def test_real_shapes_match_mpmath(self, n, k, x):
+        a, b = k, n - k
+        with mpmath.workdps(50):
+            am, bm, xm = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x)
+            expected = (mpmath.loggamma(am + bm) - mpmath.loggamma(am) - mpmath.loggamma(bm)
+                        + am * mpmath.log(xm) + bm * mpmath.log(1 - xm))
+        assert _log_beta_front(x, a, b) == pytest.approx(float(expected), rel=1e-13, abs=1e-13)
+
+    def test_swapped_shapes_tie_exactly_at_one_half(self):
+        # the agreement audit's ties between k and n - k rest on this
+        for a, b in ((3, 7), (4_999_000, 5_001_000), (1, 12344)):
+            assert _log_beta_front(0.5, a, b) == _log_beta_front(0.5, b, a)
 
 
 class TestIncompleteBeta:

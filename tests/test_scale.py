@@ -275,6 +275,8 @@ class TestUnitDistortion:
         ((10.0, 20.0), 0.0, "unit must be positive, got 0.0"),
         # a nan is named as the input it is, not as a width that overflows
         ((10.0, 20.0), math.nan, "unit must be positive, got nan"),
+        # an infinite unit is named as such, not as the nan of hi - unit
+        ((-math.inf, math.inf), math.inf, "unit must be finite, got inf"),
         ((math.nan, 20.0), 1.0, "interval (nan, 20.0) must span at least two units of 1.0"),
         ((10.0, math.nan), 1.0, "interval (10.0, nan) must span at least two units of 1.0"),
     ])
@@ -322,6 +324,12 @@ class TestRankOrderAgreement:
         # a repeated kind would repeat its tau rows and every witness
         with pytest.raises(ValueError, match="distinct kinds, got 'neglogp' more than once"):
             rank_order_agreement(outcome_grid(6), kinds)
+
+    @pytest.mark.parametrize("kinds", [["neglogp", "bogus"], ["bogus", "bogus"]])
+    def test_unknown_kind_rejected(self, kinds):
+        # checked up front, since computing it would exclude every outcome
+        with pytest.raises(ValueError, match=r"^unknown evidence kind 'bogus'; expected one of \("):
+            rank_order_agreement(outcome_grid(4), kinds)
 
     def test_p_value_vs_bayes_factor_disagree(self):
         report = rank_order_agreement(outcome_grid(30), ["neglogp", "abslogbf"])

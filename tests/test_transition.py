@@ -74,7 +74,7 @@ class TestTrpSimple:
     def test_degenerate(self):
         with pytest.raises(ValueError):
             trp_simple(0.3, 0.3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must lie in"):  # not math's bare message
             trp_simple(0.0, 0.5)
 
     def test_zero_second_hypothesis_is_a_value_error(self):

@@ -13,17 +13,21 @@ runs N sites drawn by ``--seed`` (the same seed draws the same sites);
 without it every site runs.
 
 Every mutant runs in a temporary copy of the tree (``src``, ``tests``,
-``bench``, the README and ``pyproject.toml``), so the checkout, its
-``__pycache__`` and its hypothesis database are never written. Per mutant the
-copy runs ``python -m pytest -x -q -p no:cacheprovider tests
+``bench``, ``tools``, the README, ``pyproject.toml`` and ``BENCHMARK.json``:
+every file the tests read), so the checkout, its
+``__pycache__`` and its hypothesis database are never written. The copy
+runs ``python -m pytest -x -q -p no:cacheprovider tests
 bench/test_selfcheck.py``, with hypothesis seeded by ``--seed`` so that a
-verdict repeats, and a timeout; a failure or a timeout kills it.
-One line is printed per mutant, ``module:line:column old → new: killed|survived``,
-then the kill count. A survivor is a change no test notices: either a missing
-test or an equivalent mutant, which cannot change any result.
+verdict repeats: once unmutated, and then once per mutant. If the unmutated
+run fails, no mutant could survive, so the tool says so and exits 1. Its
+time, times TIMEOUT_FACTOR, is each mutant's timeout; a failure or a timeout
+kills a mutant. One line is printed per mutant, ``module:line:column old →
+new: killed|survived``, then the kill count. A survivor is a change no test
+notices: either a missing test or an equivalent mutant, which cannot change
+any result. ``--sample 0`` only counts the sites and runs no test.
 
-Standard library only. A full run takes hours, so this stays out of the
-test suite and CI; run it on the modules a change touches.
+Standard library only. A full run takes hours, so CI runs a single mutant;
+run it on the modules a change touches.
 """
 
 from __future__ import annotations
@@ -37,15 +41,16 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import tokenize
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "evlab"
-COPIED = ("src", "tests", "bench", "README.md", "pyproject.toml")
+COPIED = ("src", "tests", "bench", "tools", "README.md", "pyproject.toml", "BENCHMARK.json")
 PYTEST = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests", "bench/test_selfcheck.py")
-TIMEOUT_S = 300  # per mutant; tier-1 takes under a minute, so a mutant past this loops
+TIMEOUT_FACTOR = 3  # a mutant's tests that take this many times the unmutated run's loop
 
 _SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -156,23 +161,29 @@ def mutant_source(site: Site) -> str:
     return source
 
 
-def killed(site: Site, tree: Path, seed: int) -> bool:
-    """Whether the tests, with hypothesis seeded by seed, fail (or run past
-    TIMEOUT_S) with the site mutated in tree."""
-    target = tree / "src" / "evlab" / f"{site.module}.py"
-    original = target.read_text(encoding="utf-8")
-    target.write_text(mutant_source(site), encoding="utf-8")
+def passes(tree: Path, seed: int, timeout: float | None = None) -> bool:
+    """Whether the tests in tree, with hypothesis seeded by seed, pass within timeout seconds."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     try:
         run = subprocess.run([sys.executable, *PYTEST, f"--hypothesis-seed={seed}"],
-                             cwd=tree, env=env, timeout=TIMEOUT_S,
+                             cwd=tree, env=env, timeout=timeout,
                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        return run.returncode != 0
+        return run.returncode == 0
     except subprocess.TimeoutExpired:
-        return True
+        return False
+    finally:
+        shutil.rmtree(tree / ".hypothesis", ignore_errors=True)  # no example carries over
+
+
+def killed(site: Site, tree: Path, seed: int, timeout: float) -> bool:
+    """Whether the tests fail, or run past timeout seconds, with the site mutated in tree."""
+    target = tree / "src" / "evlab" / f"{site.module}.py"
+    original = target.read_text(encoding="utf-8")
+    target.write_text(mutant_source(site), encoding="utf-8")
+    try:
+        return not passes(tree, seed, timeout)
     finally:
         target.write_text(original, encoding="utf-8")
-        shutil.rmtree(tree / ".hypothesis", ignore_errors=True)  # no example carries over
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -190,6 +201,8 @@ def main(argv: list[str] | None = None) -> int:
         chosen = sorted(random.Random(args.seed).sample(every, args.sample),
                         key=lambda site: (site.module, site.edits, site.new))
     print(f"{len(chosen)} of {len(every)} sites", flush=True)
+    if not chosen:
+        return 0
 
     kills = 0
     with tempfile.TemporaryDirectory(prefix="evlab-mutate-") as scratch:
@@ -201,8 +214,15 @@ def main(argv: list[str] | None = None) -> int:
                                 ignore=shutil.ignore_patterns("__pycache__", "out"))
             else:
                 shutil.copy2(source, tree / name)
+        start = time.perf_counter()
+        if not passes(tree, args.seed):
+            print("the tests fail on the unmutated tree, so every mutant would read killed",
+                  file=sys.stderr)
+            return 1
+        timeout = TIMEOUT_FACTOR * (time.perf_counter() - start)
+        print(f"clean run passed; each mutant's timeout is {timeout:.0f} s", flush=True)
         for site in chosen:
-            verdict = killed(site, tree, args.seed)
+            verdict = killed(site, tree, args.seed, timeout)
             kills += verdict
             print(f"{site.module}:{site.line}:{site.column} {site.old} → {site.new}: "
                   f"{'killed' if verdict else 'survived'}", flush=True)
