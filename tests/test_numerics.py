@@ -119,10 +119,20 @@ class TestLogBetaFront:
                         + am * mpmath.log(xm) + bm * mpmath.log(1 - xm))
         assert _log_beta_front(x, a, b) == pytest.approx(float(expected), rel=1e-13, abs=1e-13)
 
-    def test_swapped_shapes_tie_exactly_at_one_half(self):
-        # the agreement audit's ties between k and n - k rest on this
-        for a, b in ((3, 7), (4_999_000, 5_001_000), (1, 12344)):
-            assert _log_beta_front(0.5, a, b) == _log_beta_front(0.5, b, a)
+    def test_hand_computed_values(self):
+        # B(1, 1) = 1, B(2, 2) = 1/6 and B(5, 5) = 1/630, free of the oracles
+        assert _log_beta_front(0.5, 1, 1) == pytest.approx(math.log(0.25), abs=1e-13)
+        assert math.isclose(_log_beta_front(0.5, 2, 2), math.log(6 / 16), rel_tol=1e-12)
+        assert math.isclose(_log_beta_front(0.5, 5, 5), math.log(630 / 1024), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("a, b", [
+        (3, 7), (4_999_000, 5_001_000), (1, 12344), (2.25, 5.25), (0.12, 0.18),
+        (3.5, 9_999_996.5),
+    ])
+    def test_swapped_shapes_tie_exactly_at_one_half(self, a, b):
+        # the agreement audit's ties between k and n - k rest on this, and the
+        # continuous mode's on the same tie at real shapes
+        assert _log_beta_front(0.5, a, b) == _log_beta_front(0.5, b, a)
 
 
 class TestIncompleteBeta:
