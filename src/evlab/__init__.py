@@ -24,8 +24,8 @@ _HOMES = {
         "DegeneratePriorError",
     ), "evidence"),
     **dict.fromkeys((
-        "log_gamma", "regularized_incomplete_beta",
-        "find_root", "InvalidBracketError", "ConvergenceError",
+        "regularized_incomplete_beta", "find_root",
+        "InvalidBracketError", "ConvergenceError",
     ), "numerics"),
     **dict.fromkeys((
         "TrPResult", "trp_simple", "trp_composite",

@@ -44,17 +44,6 @@ DEFAULT_TOL = 1e-12
 RESIDUAL_LIMIT = 1e-8
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function (math.lgamma); ValueError unless x > 0,
-    OverflowError past about x = 2.5e305, where the value exceeds a double."""
-    if not x > 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    try:
-        return math.lgamma(x)
-    except OverflowError as err:
-        raise OverflowError(f"log_gamma overflows a double at x={x}") from err
-
-
 # ln n! - ln(sqrt(2 pi n) (n/e)^n) at n = 1/2, 1, 3/2, ..., 15 (Loader 2000).
 _STIRLERR_HALVES = dict(zip([j / 2 for j in range(1, 31)], (
     0.15342640972002736, 0.08106146679532726, 0.05481412105191765,
@@ -226,7 +215,8 @@ def regularized_incomplete_beta(x: float, a: float, b: float, log: bool = False)
 def find_root(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float, float]:
     """Locate a zero of f inside the bracket [lo, hi] by plain bisection.
 
-    f must take values of strictly opposite sign at lo and hi.
+    The ends must be finite, and f must take values of strictly opposite
+    sign at them; a nan of f inside the bracket is a ValueError naming x.
     Deterministic: no randomized or derivative-based steps. Returns (x,
     f(x), width): the first bracket midpoint where the bracket is no wider
     than DEFAULT_TOL and |f| is at most RESIDUAL_LIMIT, an exact zero of f
@@ -234,21 +224,24 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> tuple[float,
     their midpoint rounds to. Each step halves the bracket, so it always
     terminates.
     """
-    if not lo < hi:
-        raise ValueError(f"bracket requires lo < hi, got [{lo}, {hi}]")
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"bracket requires finite lo < hi, got [{lo}, {hi}]")
     f_lo = f(lo)
     f_hi = f(hi)
-    if f_lo == 0.0 or f_hi == 0.0 or (f_lo < 0.0) == (f_hi < 0.0):
+    if not (f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo):
         raise InvalidBracketError(
             f"f must have strictly opposite signs at the bracket endpoints: "
             f"f({lo})={f_lo}, f({hi})={f_hi}"
         )
-    while lo < (mid := 0.5 * (lo + hi)) < hi:  # false once lo and hi are adjacent doubles
+    # halved before the sum, which would overflow past half the largest double
+    while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:  # false once lo and hi are adjacent doubles
         f_mid = f(mid)
         if hi - lo <= DEFAULT_TOL and abs(f_mid) <= RESIDUAL_LIMIT:
             return mid, f_mid, hi - lo
         if f_mid == 0.0:
             return mid, 0.0, 0.0
+        if math.isnan(f_mid):
+            raise ValueError(f"f is nan at x={mid!r}")
         if (f_mid < 0.0) == (f_lo < 0.0):
             lo, f_lo = mid, f_mid
         else:

@@ -112,8 +112,8 @@ def _zero_intercept(f: Callable[[float], float], pts: list[float], v0: float,
     small intercept from none.
     """
     try:
-        return abs(f(0.0)) <= tol
-    except (ValueError, ZeroDivisionError, OverflowError):
+        return abs(_at(f, 0.0)) <= tol
+    except ValueError:
         x0, x1 = pts[0], pts[-1]
         return abs(v0 - slope * x0) <= tol * (1.0 + max(abs(x0), abs(x1)) / (x1 - x0))
 

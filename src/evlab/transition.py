@@ -20,6 +20,7 @@ from .evidence import (
     CONTINUOUS,
     BinomialOutcome,
     CompositeHypothesis,
+    Hypothesis,
     PointHypothesis,
     log_bf,
     log_mlr,
@@ -87,7 +88,15 @@ def trp_point_pair(n: float, h1: PointHypothesis, h2: PointHypothesis) -> TrPRes
     """trp_simple as a TrPResult at n: the log-ratio residual there, bracket width 0."""
     y = trp_simple(h1.theta0, h2.theta0)
     residual = abs(log_slr(BinomialOutcome(n, y * n, CONTINUOUS), h1, h2))
-    return TrPResult(n=n, trp_y=y, residual=residual, bracket_width=0.0)
+    return _result(n, h1, h2, y, residual, 0.0)
+
+
+def _result(n: float, h1: Hypothesis, h2: PointHypothesis, *fields: float) -> TrPResult:
+    """TrPResult(n, *fields), or its ValueError re-raised naming n and the hypotheses."""
+    try:
+        return TrPResult(n, *fields)
+    except ValueError as err:
+        raise ValueError(f"transition point of {h1} against {h2} at n={n}: {err}") from err
 
 
 def _solve_trp(n: float, h1: CompositeHypothesis, h2: PointHypothesis,
@@ -112,7 +121,7 @@ def _solve_trp(n: float, h1: CompositeHypothesis, h2: PointHypothesis,
         raise InvalidBracketError(
             f"log BF does not change sign on y in [{lo}, {hi}] at n={n}"
         ) from err
-    return TrPResult(n=n, trp_y=root, residual=abs(value), bracket_width=width)
+    return _result(n, h1, h2, root, abs(value), width)
 
 
 def trp_composite(n: float, h1: CompositeHypothesis, h2: PointHypothesis) -> TrPResult:

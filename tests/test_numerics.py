@@ -15,7 +15,6 @@ from evlab.numerics import (
     InvalidBracketError,
     find_root,
     linspace,
-    log_gamma,
     regularized_incomplete_beta,
     _bd0,
     _beta_continued_fraction,
@@ -27,45 +26,11 @@ from _contract import EXTREME_DOUBLES, NONNEGATIVE, UNIT, check_contract
 from _oracles import beta_fraction, incomplete_beta_fraction, log_fraction
 
 
-class TestLogGamma:
-    def test_factorial_values(self):
-        # Gamma(m+1) = m!, checked against the exact integer product
-        fact = 1
-        for m in range(1, 20):
-            fact *= m
-            assert math.isclose(log_gamma(m + 1), math.log(fact), rel_tol=1e-12, abs_tol=1e-13)
-
-    def test_unit_values(self):
-        assert abs(log_gamma(1.0)) < 1e-13
-        assert abs(log_gamma(2.0)) < 1e-13
-
-    def test_five_is_log_24(self):
-        assert math.isclose(log_gamma(5.0), math.log(24.0), rel_tol=1e-13)
-
-    def test_against_mpmath_over_range(self):
-        mpmath.mp.dps = 40
-        for x in np.geomspace(0.5, 1e6, 500):
-            ref = float(mpmath.loggamma(mpmath.mpf(float(x))))
-            assert math.isclose(log_gamma(float(x)), ref, rel_tol=1e-12, abs_tol=1e-13), x
-
-    def test_recurrence(self):
-        for x in (0.5, 1.0, 2.5, 10.0, 100.0):
-            lhs = log_gamma(x + 1.0)
-            rhs = log_gamma(x) + math.log(x)
-            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-3.0)
-
-
-    def test_overflow_names_the_input(self):
-        # ln Gamma(x) passes the largest double at about x = 2.5e305
-        assert math.isfinite(log_gamma(2e305))
-        with pytest.raises(OverflowError, match=r"^log_gamma overflows a double at x=1e\+306$"):
-            log_gamma(1e306)
+def _stirlerr_80_digits(n: float) -> float:
+    with mpmath.workdps(80):
+        x = mpmath.mpf(n)
+        return float(mpmath.loggamma(x + 1) - (x + 0.5) * mpmath.log(x) + x
+                     - mpmath.log(mpmath.sqrt(2 * mpmath.pi)))
 
 
 class TestStirlerr:
@@ -74,11 +39,11 @@ class TestStirlerr:
     def test_matches_mpmath(self, n):
         # Loader's table at half-integers, his series past 15, and log-gamma between
         # half-integers up to 15, where rounding near ln 16! leaves about 3e-15
-        with mpmath.workdps(80):
-            x = mpmath.mpf(n)
-            expected = mpmath.loggamma(x + 1) - (x + 0.5) * mpmath.log(x) + x - mpmath.log(
-                mpmath.sqrt(2 * mpmath.pi))
-        assert _stirlerr(n) == pytest.approx(float(expected), rel=1e-13, abs=5e-15)
+        assert _stirlerr(n) == pytest.approx(_stirlerr_80_digits(n), rel=1e-13, abs=5e-15)
+
+    def test_every_tabled_half_integer_is_the_rounded_value(self):
+        for n in (j / 2 for j in range(1, 31)):
+            assert _stirlerr(n) == _stirlerr_80_digits(n), n
 
 
 class TestBd0:
@@ -248,8 +213,9 @@ class TestIncompleteBeta:
         for x in (-0.1, 1.1, math.nan):
             with pytest.raises(ValueError, match=re.escape(f"got x={x}")):
                 regularized_incomplete_beta(x, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(0.5, 0.0, 1.0)
+        for a, b in ((0.0, 1.0), (1.0, 0.0), (-0.5, 1.0), (1.0, -0.5)):
+            with pytest.raises(ValueError, match=re.escape(f"got a={a}, b={b}")):
+                regularized_incomplete_beta(0.5, a, b)
 
     @pytest.mark.parametrize("x", [5e-324, 0.5, 1.0 - 2.0**-53])
     def test_subnormal_shapes(self, x):
@@ -289,9 +255,35 @@ class TestFindRoot:
     def test_invalid_bracket(self):
         with pytest.raises(InvalidBracketError):
             find_root(lambda x: x * x + 1.0, -1.0, 1.0)
-        # a zero endpoint is not a strict sign change
+
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda x: x, 0.0, 1.0), (lambda x: -x, 0.0, 1.0),
+        (lambda x: x, -1.0, 0.0), (lambda x: -x, -1.0, 0.0),
+    ])
+    def test_a_zero_at_an_end_is_no_strict_sign_change(self, f, lo, hi):
         with pytest.raises(InvalidBracketError):
-            find_root(lambda x: x, 0.0, 1.0)
+            find_root(f, lo, hi)
+
+    @pytest.mark.parametrize("f, message", [
+        (lambda x: math.nan if x == 0.0 else -1.0, "f(0.0)=nan, f(1.0)=-1.0"),
+        (lambda x: -1.0 if x < 0.5 else math.nan, "f(0.0)=-1.0, f(1.0)=nan"),
+        (lambda x: math.nan if x == 0.0 else 1.0, "f(0.0)=nan, f(1.0)=1.0"),
+    ])
+    def test_a_nan_at_an_end_is_no_sign_change(self, f, message):
+        with pytest.raises(InvalidBracketError, match=f"{re.escape(message)}$"):
+            find_root(f, 0.0, 1.0)
+
+    def test_a_nan_inside_the_bracket_names_x(self):
+        def f(x):
+            return -1.0 if x < 0.25 else 1.0 if x > 0.75 else math.nan
+
+        with pytest.raises(ValueError, match=r"^f is nan at x=0\.5$") as info:
+            find_root(f, 0.0, 1.0)
+        assert type(info.value) is ValueError
+
+    def test_a_bracket_whose_sum_overflows(self):
+        # lo + hi is inf here, so the midpoint halves each end before adding
+        assert find_root(lambda x: x - 1.5e308, 1e308, 1.7e308) == (1.5e308, 0.0, 0.0)
 
     @settings(max_examples=300, deadline=None)
     @given(square=st.floats(0.01, 0.99), steepness=st.floats(1.0, 1e30))
@@ -325,14 +317,19 @@ class TestFindRoot:
 
     def test_adjacent_doubles_give_the_end_the_midpoint_rounds_to(self):
         up, down = math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)
-        # 0.5 * (1.0 + up) rounds down to the lower end ...
+        # 0.5 * 1.0 + 0.5 * up rounds down to the lower end ...
         assert find_root(lambda x: 1.0 if x > 1.0 else -1.0, 1.0, up) == (1.0, -1.0, up - 1.0)
-        # ... and 0.5 * (down + 1.0) up to the upper end
+        # ... and 0.5 * down + 0.5 * 1.0 up to the upper end
         assert find_root(lambda x: 1.0 if x >= 1.0 else -1.0, down, 1.0) == (1.0, 1.0, 1.0 - down)
 
     @pytest.mark.parametrize("lo, hi, message", [
-        (1.0, 0.0, "bracket requires lo < hi, got [1.0, 0.0]"),
-        (0.0, 0.0, "bracket requires lo < hi, got [0.0, 0.0]"),
+        (1.0, 0.0, "bracket requires finite lo < hi, got [1.0, 0.0]"),
+        (0.0, 0.0, "bracket requires finite lo < hi, got [0.0, 0.0]"),
+        (0.0, math.inf, "bracket requires finite lo < hi, got [0.0, inf]"),
+        (-math.inf, 0.0, "bracket requires finite lo < hi, got [-inf, 0.0]"),
+        (-math.inf, math.inf, "bracket requires finite lo < hi, got [-inf, inf]"),
+        (math.nan, 1.0, "bracket requires finite lo < hi, got [nan, 1.0]"),
+        (0.0, math.nan, "bracket requires finite lo < hi, got [0.0, nan]"),
     ])
     def test_bracket_validation(self, lo, hi, message):
         # a plain ValueError, checked before f is called: not a missing sign change
@@ -346,6 +343,21 @@ class TestFindRoot:
     def test_default_tol(self):
         _, _, width = find_root(lambda x: x - 1.0 / 3.0, 0.0, 1.0)
         assert 0.5 * DEFAULT_TOL < width <= DEFAULT_TOL
+
+    @settings(max_examples=300, deadline=None)
+    @given(c=EXTREME_DOUBLES, lo=EXTREME_DOUBLES, hi=EXTREME_DOUBLES)
+    @example(c=0.3, lo=0.0, hi=math.inf)  # an infinite end
+    @example(c=1.5e308, lo=1e308, hi=1.7e308)  # lo + hi overflows
+    def test_a_shifted_identity_over_extreme_doubles(self, c, lo, hi):
+        # every bracket either is rejected or gives a root that the bracket
+        # holds, not nan, found to the tolerance or to adjacent doubles
+        try:
+            root, value, width = find_root(lambda x: x - c, lo, hi)
+        except ValueError:
+            return
+        assert lo <= root <= hi
+        assert not math.isnan(value)
+        assert 0.0 <= width <= max(DEFAULT_TOL, 2.0 * math.ulp(root))
 
 
 def test_linspace():

@@ -89,7 +89,7 @@ def test_no_module_compiles_far_above_scale():
 
 
 def test_every_export_resolves_lazily_to_its_home_object():
-    assert int(_fresh(LAZY_EXPORTS)) == len(evlab.__all__) == 41
+    assert int(_fresh(LAZY_EXPORTS)) == len(evlab.__all__) == 40
 
 
 def test_star_import_gives_every_export():

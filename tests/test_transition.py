@@ -346,8 +346,9 @@ class TestZeroPath:
             zero_path(RIDE_TRP, h1=ONE_SIDED, n_values=(10.0, 5.0))
         with pytest.raises(ValueError):
             zero_path(SHRINK_N, h1=CompositeHypothesis(), n_values=())
-        with pytest.raises(ValueError):
-            zero_path(SHRINK_N, h1=CompositeHypothesis(), y_fixed=1.5, n_values=(2.0, 1.0))
+        for y in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError, match=re.escape(f"fixed y must be in (0,1), got {y}")):
+                zero_path(SHRINK_N, h1=CompositeHypothesis(), y_fixed=y, n_values=(2.0, 1.0))
 
     def test_shrink_n_rejects_a_repeated_n(self):
         with pytest.raises(ValueError, match="strictly decreasing"):
@@ -388,3 +389,18 @@ class TestTrPResultInvariants:
             TrPResult(n=10.0, trp_y=0.0, residual=0.0, bracket_width=0.0)
         with pytest.raises(ValueError):
             TrPResult(n=10.0, trp_y=1.0, residual=0.0, bracket_width=0.0)
+
+    def test_a_point_pair_residual_past_the_limit_names_n_and_the_hypotheses(self):
+        # at n = 1e7 the closed form's rounding leaves |log SLR| above the limit
+        message = ("transition point of PointHypothesis(theta0=0.0001) against "
+                   "PointHypothesis(theta0=0.99) at n=10000000.0: root residual "
+                   "1.4901161193847656e-08 exceeds the limit 1e-08")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            transition.trp_point_pair(1e7, PointHypothesis(0.0001), PointHypothesis(0.99))
+
+    def test_a_solved_residual_past_the_limit_names_n_and_the_hypotheses(self, monkeypatch):
+        monkeypatch.setattr(transition, "find_root", lambda f, lo, hi: (0.3, -1e-6, 0.0))
+        message = (f"transition point of {ONE_SIDED} against {FAIR} at n=10.0: "
+                   f"root residual 1e-06 exceeds the limit 1e-08")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            trp_composite(10.0, ONE_SIDED, FAIR)
