@@ -17,7 +17,7 @@ from .numerics import (
     _bd0,
     _log1mexp,
     _log_beta_front,
-    _xlogy,
+    _log_ratio,
     regularized_incomplete_beta,
 )
 
@@ -141,7 +141,8 @@ class EvidenceValue(NamedTuple):
 
 
 def _two_sided_count(data: BinomialOutcome, null: PointHypothesis) -> tuple[int, int]:
-    """(n, c): the two-sided p-value is exactly c / 2**n."""
+    """(n, c): the two-sided p-value is exactly c / 2**n; (0, 1) where k = n/2,
+    so that 2**n is not built for a p-value of 1."""
     if null.theta0 != 0.5:
         raise ValueError(
             f"two-sided p-value is only defined here for theta0 = 1/2, got {null.theta0}"
@@ -154,13 +155,21 @@ def _two_sided_count(data: BinomialOutcome, null: PointHypothesis) -> tuple[int,
         raise ValueError(f"p-value requires n >= 1, got n={n}")
     low = min(k, n - k)
     if 2 * low == n:
-        return n, 2**n
+        return 0, 1
     # One tail by the ratio C(n, j+1) = C(n, j) (n-j) / (j+1); the other mirrors it.
     tail, term = 0, 1
     for j in range(low + 1):
         tail += term
         term = term * (n - j) // (j + 1)
     return n, 2 * tail
+
+
+def _over_power_of_two(n: int, count: int) -> float:
+    """count / 2**n, rounded once. 0.0, without building 2**n, where the
+    quotient is below 2**-1075, half the smallest subnormal double."""
+    if n - count.bit_length() >= 1075:
+        return 0.0
+    return count / 2**n
 
 
 def p_value_two_sided(data: BinomialOutcome, null: PointHypothesis) -> float:
@@ -171,8 +180,7 @@ def p_value_two_sided(data: BinomialOutcome, null: PointHypothesis) -> float:
     silently adopted here. Summation is carried out in exact integer
     arithmetic, so the result is 1.0 exactly whenever k = n/2.
     """
-    n, count = _two_sided_count(data, null)
-    return count / 2**n
+    return _over_power_of_two(*_two_sided_count(data, null))
 
 
 def neg_log_p(data: BinomialOutcome, null: PointHypothesis) -> float:
@@ -183,7 +191,7 @@ def neg_log_p(data: BinomialOutcome, null: PointHypothesis) -> float:
     full precision and stays finite for every n.
     """
     n, count = _two_sided_count(data, null)
-    p = count / 2**n
+    p = _over_power_of_two(n, count)
     if p == 1.0:
         return 0.0
     if p < sys.float_info.min:
@@ -210,10 +218,16 @@ def log_slr(data: BinomialOutcome, h1: PointHypothesis, h2: PointHypothesis) -> 
     """Log simple likelihood ratio between two point hypotheses.
 
     Equals k ln(theta1/theta2) + (n-k) ln((1-theta1)/(1-theta2)): linear in
-    k and in n-k, hence additive across independent batches of tosses.
+    k and in n-k, hence additive across independent batches of tosses. Each
+    log stays finite where its ratio leaves the double range; a ValueError
+    where the two terms overflow with opposite signs.
     """
     t1, t2 = h1.theta0, h2.theta0
-    return _xlogy(data.k, t1 / t2) + _xlogy(data.n - data.k, (1.0 - t1) / (1.0 - t2))
+    value = data.k * _log_ratio(t1, t2) + (data.n - data.k) * _log_ratio(1.0 - t1, 1.0 - t2)
+    if math.isnan(value):
+        raise ValueError(f"the log SLR's two terms overflow with opposite signs at n={data.n}, "
+                         f"k={data.k}, theta1={t1}, theta2={t2}")
+    return value
 
 
 def _log_truncated_beta_mass(a: float, b: float, lo: float, hi: float) -> float:
@@ -307,12 +321,14 @@ def log_bf(data: BinomialOutcome, h1: Hypothesis, h2: PointHypothesis) -> float:
 
 
 def support_label(log_bf_value: float) -> str:
-    """Which hypothesis a signed log Bayes factor favors."""
+    """Which hypothesis a signed log Bayes factor favors; a nan is a ValueError."""
     if log_bf_value > 0.0:
         return "supports H1"
     if log_bf_value < 0.0:
         return "supports H2"
-    return "transition point"
+    if log_bf_value == 0.0:
+        return "transition point"
+    raise ValueError(f"a log Bayes factor of {log_bf_value} favors no hypothesis")
 
 
 def _reported(kind: str, value: float) -> float:

@@ -79,11 +79,13 @@ def _stirlerr(n: float) -> float:
     return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
 
 
-def _xlogy(x: float, y: float) -> float:
-    """x * ln(y) with the 0 * ln(0) = 0 convention."""
-    if x == 0.0:
-        return 0.0
-    return x * math.log(y)
+def _log_ratio(a: float, b: float) -> float:
+    """ln(a/b) for a, b > 0: the log of the quotient where it is a normal
+    double, and ln a - ln b where it underflows or overflows."""
+    ratio = a / b
+    if _DBL_MIN <= ratio < math.inf:
+        return math.log(ratio)
+    return math.log(a) - math.log(b)
 
 
 def _bd0(x: float, n: float, p: float) -> float:
@@ -166,13 +168,17 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
             d = 1.0 / d
             delta = d * c
             h *= delta
-        if not 0.0 < abs(h) < math.inf:  # overflowed terms: no later step can mend h
+        converged = abs(delta - 1.0) < _BETACF_EPS
+        # overflowed terms, which no later step can mend, or steps that settle on
+        # a negative h: at x on the switch point with huge shapes, rounding
+        # cancels the first term to a sign it should not have
+        if not 0.0 < abs(h) < math.inf or (converged and h < 0.0):
             raise ConvergenceError(
                 f"incomplete beta continued fraction did not converge for "
                 f"a={a}, b={b}, x={x}: its convergent is {h} at iteration {m}"
             )
-        if abs(delta - 1.0) < _BETACF_EPS:  # h / a overflows at a subnormal a
-            return math.log(h / a) if h / a < math.inf else math.log(h) - math.log(a)
+        if converged:
+            return _log_ratio(h, a)
     raise ConvergenceError(
         f"incomplete beta continued fraction did not converge for "
         f"a={a}, b={b}, x={x} within {max_iter} iterations"

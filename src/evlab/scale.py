@@ -15,7 +15,8 @@ import itertools
 import math
 import sys
 from bisect import bisect_right
-from typing import Callable, Iterator, NamedTuple, Sequence
+from collections import Counter
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .evidence import (
     BF_KINDS,
@@ -239,20 +240,16 @@ def outcome_grid(max_n: int, min_n: int = 2) -> list[BinomialOutcome]:
     return [BinomialOutcome(n, k) for n in range(min_n, max_n + 1) for k in range(n + 1)]
 
 
-def _tied_pairs(ordered: Sequence) -> int:
-    """Pairs of equal items in a sequence where equal items are adjacent."""
-    total = 0
-    for _, run in itertools.groupby(ordered):
-        size = sum(1 for _ in run)
-        total += size * (size - 1) // 2
-    return total
+def _tied_pairs(values: Iterable) -> int:
+    """Pairs of equal items among values, in any order."""
+    return sum(math.comb(count, 2) for count in Counter(values).values())
 
 
-def _sort_counting_swaps(values: list[float]) -> tuple[list[float], int]:
-    """values in stable ascending order, and the number of pairs i < j with
-    values[i] > values[j] (the swaps an exchange sort would make). Runs of 64
-    are insertion-sorted, each value passing the greater ones before it; the
-    runs then merge pairwise, each right value passing the greater left ones."""
+def _count_swaps(values: list[float]) -> int:
+    """The number of pairs i < j with values[i] > values[j] (the swaps an
+    exchange sort would make). Runs of 64 are insertion-sorted, each value
+    passing the greater ones before it; the runs then merge pairwise, each
+    right value passing the greater left ones."""
     runs, swaps = [], 0
     for start in range(0, len(values), 64):
         run: list[float] = []
@@ -266,24 +263,23 @@ def _sort_counting_swaps(values: list[float]) -> tuple[list[float], int]:
         for left, right in pairs:
             swaps += len(left) * len(right) - sum(map(bisect_right, itertools.repeat(left), right))
         runs = [sorted(left + right) for left, right in pairs] + runs[2 * len(pairs):]
-    return (runs[0] if runs else []), swaps
+    return swaps
 
 
 def _kendall_tau_b(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, int]:
     """Kendall tau-b of two value columns and their discordant-pair count.
 
-    Knight's O(m log m) method (JASA 1966) with the tie correction: sort
-    the points by (x, y) and count the x ties and joint ties in runs; a
-    stable sort of the y column then counts its swaps, which are exactly the
-    pairs that x orders one way and y strictly the other, and leaves the y
-    ties in runs. The integer counts equal those of comparing every pair,
-    so tau is the same double. Values must not be NaN.
+    Knight's O(m log m) method (JASA 1966) with the tie correction: the x
+    ties, y ties and joint ties are counted from the columns as given; once
+    the points are sorted by (x, y), the swaps a stable sort of the y column
+    makes are exactly the pairs that x orders one way and y strictly the
+    other. The integer counts equal those of comparing every pair, so tau is
+    the same double. Values must not be NaN.
     """
-    points = sorted(zip(xs, ys))
-    ties_x = _tied_pairs([x for x, _ in points])
-    ties_xy = _tied_pairs(points)
-    sorted_y, discordant = _sort_counting_swaps([y for _, y in points])
-    ties_y = _tied_pairs(sorted_y)
+    ties_x = _tied_pairs(xs)
+    ties_y = _tied_pairs(ys)
+    ties_xy = _tied_pairs(zip(xs, ys))
+    discordant = _count_swaps([y for _, y in sorted(zip(xs, ys))])
     total = math.comb(len(xs), 2)
     concordant = total - ties_x - ties_y + ties_xy - discordant
     denom = math.sqrt((total - ties_x) * (total - ties_y))

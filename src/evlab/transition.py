@@ -13,7 +13,6 @@ strongly the data contradict a pair of point hypotheses.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple, Sequence
 
 from .evidence import (
@@ -26,7 +25,7 @@ from .evidence import (
     log_mlr,
     log_slr,
 )
-from .numerics import RESIDUAL_LIMIT, InvalidBracketError, find_root
+from .numerics import RESIDUAL_LIMIT, InvalidBracketError, _log_ratio, find_root
 
 # Root brackets stay this far inside the support / away from the point null,
 # since the log Bayes factor diverges toward the support edges.
@@ -80,8 +79,8 @@ def trp_simple(theta1: float, theta2: float) -> float:
         raise ValueError(f"hypotheses must lie in (0,1), got {theta1}, {theta2}")
     if theta1 == theta2:
         raise ValueError("transition point is undefined for identical hypotheses")
-    comp = math.log((1.0 - theta2) / (1.0 - theta1))
-    return comp / (math.log(theta1 / theta2) + comp)
+    comp = _log_ratio(1.0 - theta2, 1.0 - theta1)
+    return comp / (_log_ratio(theta1, theta2) + comp)
 
 
 def trp_point_pair(n: float, h1: PointHypothesis, h2: PointHypothesis) -> TrPResult:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -144,6 +145,41 @@ class TestCompute:
         assert status == 0
         _, rows = parse_csv(out)
         assert rows[0]["value"] == value
+
+    def test_a_log_ratio_past_the_largest_double_stays_finite(self, capsys):
+        # 0.9 / 5e-324 overflows; ln 0.9 - ln 5e-324 does not (it printed inf)
+        status, out = run_cli(capsys, "compute", "--n", "5", "--k", "3", "--kinds", "logslr",
+                              "--theta1", "0.9", "--theta2", "5e-324")
+        assert status == 0
+        assert out == "kind,n,k,value\nlogslr,5,3,2228.39896403\n"
+
+    def test_log_slr_terms_that_overflow_with_opposite_signs_are_an_error(self, capsys):
+        # k ln 9 overflows to inf and (n - k) ln(1/9) to -inf: it printed nan twice
+        assert main(["compute", "--mode", "continuous", "--n", "1.7e308", "--k", "8.5e307",
+                     "--theta1", "0.9", "--theta2", "0.1", "--kinds", "logslr,slr"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "evlab: error: the log SLR's two terms overflow with opposite signs at "
+            "n=1.7e+308, k=8.5e+307, theta1=0.9, theta2=0.1\n")
+
+    @pytest.mark.parametrize("k, rows", [
+        ("2", "pvalue,1e+300,2,0\nneglogp,1e+300,2,6.9314718056e+299\n"),
+        ("5e299", "pvalue,1e+300,5e+299,1\nneglogp,1e+300,5e+299,0\n"),
+    ])
+    def test_p_value_at_huge_n_builds_no_two_to_the_n(self, k, rows):
+        # 2**n has 1e300 bits: in a 1 GiB address space both commands ended in a
+        # MemoryError, and with no cap they grow until the machine runs out of memory
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS,
+                               (2**30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+        proc = subprocess.run([sys.executable, "-m", "evlab", "compute", "--n", "1e300",
+                               "--k", k, "--kinds", "pvalue,neglogp"],
+                              capture_output=True, text=True, timeout=60,
+                              preexec_fn=cap_address_space)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "kind,n,k,value\n" + rows
 
     def test_unknown_kind_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -292,6 +328,18 @@ class TestFigure1:
         assert curve[0]["side"] == "supports H1"
         assert curve[-1]["side"] == "supports H2"
 
+    def test_variant_a_stops_where_log_slr_is_not_a_number(self, capsys):
+        # at y = 0.5 the two terms overflow with opposite signs: the row read nan,
+        # labelled "transition point", and the command exited 0
+        assert main(["figure1", "a", "--n", "1.7e308", "--grid", "3", "--theta1", "0.9",
+                     "--theta2", "0.1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ("variant,n,y,log_es,abs_log_es,side,row_type\n"
+                                "a,1.7e+308,0.01,-inf,inf,supports H2,curve\n")
+        assert captured.err == (
+            "evlab: error: the log SLR's two terms overflow with opposite signs at "
+            "n=1.7e+308, k=8.5e+307, theta1=0.9, theta2=0.1\n")
+
     def test_variant_b_trp_drifts_right(self, capsys):
         status, out = run_cli(capsys, "figure1", "b", "--n", "10,100", "--grid", "9")
         assert status == 0
@@ -338,6 +386,15 @@ class TestTrp:
         assert [r["n"] for r in rows] == n_rows
         assert all(r["trp_y"] == "0.5" for r in rows)
         assert all(float(r["residual"]) < 1e-8 for r in rows)
+
+    @pytest.mark.parametrize("n", ["10", "1e6"])
+    def test_simple_setup_where_a_ratio_overflows(self, capsys, n):
+        # 0.9 / 5e-324 overflowed, and the root read 0.0 ("must be in (0,1)")
+        status, out = run_cli(capsys, "trp", "--setup", "simple", "--theta1", "0.9",
+                              "--theta2", "5e-324", "--n", n)
+        assert status == 0
+        _, rows = parse_csv(out)
+        assert (rows[0]["trp_y"], rows[0]["residual"]) == ("0.00308394062792", "0")
 
     def test_one_sided_golden(self, capsys):
         status, out = run_cli(capsys, "trp", "--setup", "one-sided", "--n", "10,100,1000")

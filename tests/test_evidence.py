@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, stats
 
 from evlab.evidence import (
@@ -25,6 +25,7 @@ from evlab.evidence import (
     support_label,
     _EXACT_BF_BITS,
     _exact_log_bf,
+    _over_power_of_two,
 )
 from evlab.scale import AgreementConfig, outcome_grid
 
@@ -154,6 +155,13 @@ class TestPValue:
         with pytest.raises(ValueError):
             p_value_two_sided(BinomialOutcome(0, 0), FAIR)
 
+    @pytest.mark.parametrize("n, count, p", [
+        (1074, 1, 5e-324), (1075, 1, 0.0),  # 2**-1075 is a tie, rounded to even
+        (1076, 3, 5e-324), (1077, 3, 0.0), (1100, 2**25 - 1, 0.0), (1100, 2**25 + 1, 5e-324),
+    ])
+    def test_the_quotient_skips_two_to_the_n_only_where_it_rounds_to_zero(self, n, count, p):
+        assert _over_power_of_two(n, count) == count / 2**n == p
+
 
 class TestNegLogP:
     def test_exact_zero_at_balance(self):
@@ -263,6 +271,29 @@ class TestLogSlr:
     def test_single_toss(self):
         got = log_slr(BinomialOutcome(1, 1), self.H1, self.H2)
         assert got == pytest.approx(math.log(1.0 / 3.0), rel=1e-12)
+
+    @pytest.mark.parametrize("n, k, t1, t2", [
+        (5, 3, 0.9, 5e-324),  # 0.9 / 5e-324 overflows, and the value read inf
+        (1, 1, 5e-324, 0.9),  # 5e-324 / 0.9 rounds to the one subnormal 5e-324
+    ])
+    def test_a_ratio_outside_the_normal_doubles_keeps_its_log(self, n, k, t1, t2):
+        expected = (k * (math.log(t1) - math.log(t2))
+                    + (n - k) * (math.log(1.0 - t1) - math.log(1.0 - t2)))
+        got = log_slr(BinomialOutcome(n, k), PointHypothesis(t1), PointHypothesis(t2))
+        assert got == pytest.approx(expected, rel=1e-15)
+
+    def test_terms_that_overflow_with_opposite_signs_name_the_inputs(self):
+        with pytest.raises(ValueError, match=r"at n=1\.7e\+308, k=8\.5e\+307, theta1=0\.9, "
+                                             r"theta2=0\.1$"):
+            log_slr(BinomialOutcome(1.7e308, 8.5e307, CONTINUOUS), PointHypothesis(0.9),
+                    PointHypothesis(0.1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=NONNEGATIVE, share=UNIT, t1=UNIT, t2=UNIT, mode=st.sampled_from(MODES))
+    @example(n=1.7e308, share=0.5, t1=0.9, t2=0.1, mode=CONTINUOUS)  # inf - inf
+    def test_error_contract_over_extreme_doubles(self, n, share, t1, t2, mode):
+        check_contract(lambda: log_slr(BinomialOutcome(n, share * n, mode),
+                                       PointHypothesis(t1), PointHypothesis(t2)))
 
     @settings(max_examples=500, deadline=None)
     @given(data=st.data(), t1=OPEN_UNIT, t2=OPEN_UNIT)
@@ -553,6 +584,11 @@ class TestAbsLogBf:
         assert support_label(0.7) == "supports H1"
         assert support_label(-0.7) == "supports H2"
         assert support_label(0.0) == "transition point"
+
+    def test_a_nan_favors_no_side(self):
+        # it read "transition point"
+        with pytest.raises(ValueError, match="a log Bayes factor of nan favors no hypothesis"):
+            support_label(math.nan)
 
 
 class TestComputeEvidence:

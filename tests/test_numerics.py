@@ -41,6 +41,12 @@ class TestStirlerr:
         # half-integers up to 15, where rounding near ln 16! leaves about 3e-15
         assert _stirlerr(n) == pytest.approx(_stirlerr_80_digits(n), rel=1e-13, abs=5e-15)
 
+    @pytest.mark.parametrize("n", [35.0, 80.0, 500.0])
+    def test_each_switch_point_takes_the_longer_series(self, n):
+        # the shorter series is off by 4e-15 to 2e-13 of the value there, which
+        # the absolute tolerance above lets pass
+        assert _stirlerr(n) == pytest.approx(_stirlerr_80_digits(n), rel=1e-15, abs=0.0)
+
     def test_every_tabled_half_integer_is_the_rounded_value(self):
         for n in (j / 2 for j in range(1, 31)):
             assert _stirlerr(n) == _stirlerr_80_digits(n), n
@@ -202,6 +208,15 @@ class TestIncompleteBeta:
         assert "a=9.9e+305, b=1e+304, x=0.5" in message
         assert int(re.search(r"at iteration ([0-9]+)$", message).group(1)) < 10
         assert "within" not in message
+
+    def test_a_convergent_that_loses_its_sign_stops_the_fraction(self):
+        # x on the switch point (a+1)/(a+b+2) at shapes near 1e50: the first term
+        # cancels to -2**52, and the steps after it already look converged;
+        # ln(h / a) raised a bare "math domain error"
+        with pytest.raises(ConvergenceError,
+                           match=r"its convergent is -4503599627370496\.0 at iteration 1$"):
+            regularized_incomplete_beta(0.37946016899647433, 4.5467466683721065e49,
+                                        7.435398072659597e49, log=True)
 
     def test_iteration_cap_is_reported(self):
         # far above the mean a/(a+b) the raw continued fraction does not converge;
