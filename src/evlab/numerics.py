@@ -88,6 +88,17 @@ def _log_ratio(a: float, b: float) -> float:
     return math.log(a) - math.log(b)
 
 
+def _log_complement_ratio(t1: float, t2: float) -> float:
+    """ln((1-t1)/(1-t2)) for t1, t2 in (0, 1): _log_ratio of the complements,
+    but log1p((t2-t1)/(1-t2)) where their quotient rounds to 1 while t1 != t2,
+    as it does where both complements round to 1 (t1 = 1e-300, t2 = 5e-324).
+    So it is 0.0 only where t1 equals t2."""
+    a, b = 1.0 - t1, 1.0 - t2
+    if a / b == 1.0 and t1 != t2:
+        return math.log1p((t2 - t1) / b)
+    return _log_ratio(a, b)
+
+
 def _bd0(x: float, n: float, p: float) -> float:
     """x ln(x/m) + m - x at m = n p, the deviance term of Loader (2000), for
     x >= 0, n > 0 and p in (0, 1).

@@ -258,12 +258,13 @@ def _count_swaps(values: list[float]) -> int:
             swaps += before - at
             run.insert(at, value)
         runs.append(run)
-    while len(runs) > 1:
+    while True:
         pairs = list(zip(runs[::2], runs[1::2]))
         for left, right in pairs:
             swaps += len(left) * len(right) - sum(map(bisect_right, itertools.repeat(left), right))
+        if len(runs) <= 2:  # the last merge's sorted runs would go unread
+            return swaps
         runs = [sorted(left + right) for left, right in pairs] + runs[2 * len(pairs):]
-    return swaps
 
 
 def _kendall_tau_b(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, int]:

@@ -25,7 +25,13 @@ from .evidence import (
     log_mlr,
     log_slr,
 )
-from .numerics import RESIDUAL_LIMIT, InvalidBracketError, _log_ratio, find_root
+from .numerics import (
+    RESIDUAL_LIMIT,
+    InvalidBracketError,
+    _log_complement_ratio,
+    _log_ratio,
+    find_root,
+)
 
 # Root brackets stay this far inside the support / away from the point null,
 # since the log Bayes factor diverges toward the support edges.
@@ -36,34 +42,21 @@ RIDE_TRP = "ride-trp"
 PATH_KINDS = (SHRINK_N, RIDE_TRP)
 
 
-class _TrPResult(NamedTuple):
+class TrPResult(NamedTuple):
+    """A root of the log Bayes factor in the observed proportion, at fixed n.
+
+    trp_y lies in (0, 1). residual is |log BF| at trp_y, the value the
+    root-finder stopped on, at most RESIDUAL_LIMIT. bracket_width is the
+    width of the bracket bisection stopped at around trp_y: at most
+    DEFAULT_TOL, less where |log BF| was still above RESIDUAL_LIMIT there,
+    and one double spacing where neither rule was met sooner. It is 0 for a
+    closed-form or exact root.
+    """
+
     n: float
     trp_y: float
     residual: float
     bracket_width: float
-
-
-class TrPResult(_TrPResult):
-    """A root of the log Bayes factor in the observed proportion, at fixed n.
-
-    residual is |log BF| at trp_y, the value the root-finder stopped on.
-    bracket_width is the width of the bracket bisection stopped at around
-    trp_y: at most DEFAULT_TOL, less where |log BF| was still above
-    RESIDUAL_LIMIT there, and one double spacing where neither rule was met
-    sooner. It is 0 for a closed-form or exact root.
-    """
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
-
-    def __new__(cls, n: float, trp_y: float, residual: float, bracket_width: float):
-        if not 0.0 < trp_y < 1.0:
-            raise ValueError(f"transition point must be in (0,1), got {trp_y}")
-        if not 0.0 <= residual <= RESIDUAL_LIMIT:
-            raise ValueError(f"root residual {residual} exceeds the limit {RESIDUAL_LIMIT}")
-        if not bracket_width >= 0.0:
-            raise ValueError(f"bracket width must be nonnegative, got {bracket_width}")
-        return tuple.__new__(cls, (n, trp_y, residual, bracket_width))
 
 
 def trp_simple(theta1: float, theta2: float) -> float:
@@ -79,7 +72,7 @@ def trp_simple(theta1: float, theta2: float) -> float:
         raise ValueError(f"hypotheses must lie in (0,1), got {theta1}, {theta2}")
     if theta1 == theta2:
         raise ValueError("transition point is undefined for identical hypotheses")
-    comp = _log_ratio(1.0 - theta2, 1.0 - theta1)
+    comp = _log_complement_ratio(theta2, theta1)
     return comp / (_log_ratio(theta1, theta2) + comp)
 
 
@@ -90,12 +83,17 @@ def trp_point_pair(n: float, h1: PointHypothesis, h2: PointHypothesis) -> TrPRes
     return _result(n, h1, h2, y, residual, 0.0)
 
 
-def _result(n: float, h1: Hypothesis, h2: PointHypothesis, *fields: float) -> TrPResult:
-    """TrPResult(n, *fields), or its ValueError re-raised naming n and the hypotheses."""
-    try:
-        return TrPResult(n, *fields)
-    except ValueError as err:
-        raise ValueError(f"transition point of {h1} against {h2} at n={n}: {err}") from err
+def _result(n: float, h1: Hypothesis, h2: PointHypothesis,
+            trp_y: float, residual: float, bracket_width: float) -> TrPResult:
+    """The TrPResult at n, or a ValueError naming n and the hypotheses where
+    trp_y is outside (0, 1) or the residual past RESIDUAL_LIMIT."""
+    if not 0.0 < trp_y < 1.0:
+        problem = f"transition point must be in (0,1), got {trp_y}"
+    elif not residual <= RESIDUAL_LIMIT:
+        problem = f"root residual {residual} exceeds the limit {RESIDUAL_LIMIT}"
+    else:
+        return TrPResult(n, trp_y, residual, bracket_width)
+    raise ValueError(f"transition point of {h1} against {h2} at n={n}: {problem}")
 
 
 def _solve_trp(n: float, h1: CompositeHypothesis, h2: PointHypothesis,

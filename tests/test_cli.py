@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -498,6 +499,44 @@ class TestTrp:
         assert float(rows[0]["bracket_width"]) == pytest.approx(2.0 ** -40, rel=1e-11)
         _, rows = parse_csv(run_cli(capsys, "trp", "--setup", "simple", "--n", "10")[1])
         assert float(rows[0]["bracket_width"]) == 0.0
+
+
+class TestTinyTheta:
+    """1 - 1e-300 and 1 - 5e-324 both round to 1, and ln((1-t1)/(1-t2)) read 0."""
+
+    TINY = ("--theta1", "1e-300", "--theta2", "5e-324")
+
+    @staticmethod
+    def _expected():
+        """(the TrP, the log SLR at k = 0 of n = 10), from 60-digit mpmath."""
+        t1, t2 = mpmath.mpf(1e-300), mpmath.mpf(5e-324)
+        with mpmath.workdps(60):
+            comp = mpmath.log1p(-t1) - mpmath.log1p(-t2)
+            return float(-comp / (mpmath.log(t1 / t2) - comp)), float(10 * comp)
+
+    def test_trp(self, capsys):
+        # it exited 1 with "transition point must be in (0,1), got 0.0"
+        status, out = run_cli(capsys, "trp", "--setup", "simple", *self.TINY, "--n", "10")
+        assert status == 0
+        _, rows = parse_csv(out)
+        assert rows[0]["trp_y"] == "1.86342774024e-302"
+        assert float(rows[0]["trp_y"]) == pytest.approx(self._expected()[0], rel=1e-11, abs=0)
+
+    def test_figure1_a_trp_rows(self, capsys):
+        # each trp row sat at y = 0
+        status, out = run_cli(capsys, "figure1", "a", *self.TINY)
+        assert status == 0
+        _, rows = parse_csv(out)
+        trp = [float(r["y"]) for r in rows if r["row_type"] == "trp"]
+        assert trp and trp == pytest.approx([self._expected()[0]] * len(trp), rel=1e-11, abs=0)
+
+    def test_compute_logslr(self, capsys):
+        # it printed 0
+        status, out = run_cli(capsys, "compute", "--n", "10", "--k", "0", *self.TINY,
+                              "--kinds", "logslr")
+        assert status == 0
+        _, rows = parse_csv(out)
+        assert float(rows[0]["value"]) == pytest.approx(self._expected()[1], rel=1e-11, abs=0)
 
 
 class TestNonFiniteInput:

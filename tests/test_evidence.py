@@ -282,6 +282,17 @@ class TestLogSlr:
         got = log_slr(BinomialOutcome(n, k), PointHypothesis(t1), PointHypothesis(t2))
         assert got == pytest.approx(expected, rel=1e-15)
 
+    def test_a_tiny_theta_keeps_its_complement(self):
+        # 1 - 1e-300 and 1 - 5e-324 both round to 1: the value read 0.0
+        got = log_slr(BinomialOutcome(10, 0), PointHypothesis(1e-300), PointHypothesis(5e-324))
+        with mpmath.workdps(60):
+            expected = float(10 * (mpmath.log1p(-1e-300) - mpmath.log1p(-5e-324)))
+        assert got == pytest.approx(expected, rel=1e-15, abs=0)
+
+    def test_a_mirrored_pair_at_half_is_exactly_zero(self):
+        # a log1p of the complements everywhere read -2.2e-16 here
+        assert log_slr(BinomialOutcome(2, 1), self.H1, self.H2) == 0.0
+
     def test_terms_that_overflow_with_opposite_signs_name_the_inputs(self):
         with pytest.raises(ValueError, match=r"at n=1\.7e\+308, k=8\.5e\+307, theta1=0\.9, "
                                              r"theta2=0\.1$"):

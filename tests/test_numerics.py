@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import special
 
+from evlab import numerics
 from evlab.numerics import (
     DEFAULT_TOL,
     RESIDUAL_LIMIT,
@@ -19,6 +20,7 @@ from evlab.numerics import (
     _bd0,
     _beta_continued_fraction,
     _log_beta_front,
+    _log_complement_ratio,
     _stirlerr,
 )
 
@@ -104,6 +106,22 @@ class TestLogBetaFront:
         # the agreement audit's ties between k and n - k rest on this, and the
         # continuous mode's on the same tie at real shapes
         assert _log_beta_front(0.5, a, b) == _log_beta_front(0.5, b, a)
+
+
+class TestLogComplementRatio:
+    @pytest.mark.parametrize("t1, t2", [
+        (1e-300, 5e-324), (5e-324, 1e-300), (1e-17, 2e-17),  # each complement rounds to 1
+        (0.3, 0.30000000000000004),  # two complements round to one double
+        (0.25, 0.75), (0.9, 5e-324), (0.5, 1.0 - 2.0**-53),
+    ])
+    def test_matches_mpmath(self, t1, t2):
+        with mpmath.workdps(60):
+            expected = float(mpmath.log1p(-t1) - mpmath.log1p(-t2))
+        assert _log_complement_ratio(t1, t2) == pytest.approx(expected, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("theta", [5e-324, 1e-300, 0.3, 1.0 - 2.0**-53])
+    def test_equal_thetas_give_exactly_zero(self, theta):
+        assert _log_complement_ratio(theta, theta) == 0.0
 
 
 class TestIncompleteBeta:
@@ -223,6 +241,19 @@ class TestIncompleteBeta:
         # the message names the cap that was used, 300 + floor(sqrt(max(a, b)))
         with pytest.raises(ConvergenceError, match=r"within 400 iterations"):
             _beta_continued_fraction(0.5, 1e4, 0.5)
+
+    def test_the_cap_counts_iterations(self, monkeypatch):
+        # the fraction at a = 0.25, b = 0.5, x = 0.5 converges at iteration 10;
+        # sqrt(max(a, b)) adds nothing to the floor, so the floor is the cap
+        a, b, x = 0.25, 0.5, 0.5
+        monkeypatch.setattr(numerics, "_BETACF_MIN_ITER", 9)
+        with pytest.raises(ConvergenceError, match=r"within 9 iterations$"):
+            _beta_continued_fraction(a, b, x)
+        monkeypatch.setattr(numerics, "_BETACF_MIN_ITER", 10)
+        with mpmath.workdps(40):
+            expected = float(mpmath.log(mpmath.betainc(a, b, 0, x, regularized=True)
+                                        * mpmath.beta(a, b) / (x**a * (1 - x) ** b)))
+        assert _beta_continued_fraction(a, b, x) == pytest.approx(expected, rel=1e-14)
 
     def test_domain(self):
         for x in (-0.1, 1.1, math.nan):

@@ -1,4 +1,4 @@
-"""The result records are immutable NamedTuples; four of them validate their fields."""
+"""The result records are immutable NamedTuples; three of them validate their fields."""
 
 import math
 import re
@@ -67,11 +67,6 @@ REJECTED = [
      "prior shapes must be positive and finite, got a=0.0, b=1.0"),
     (CompositeHypothesis, (), {"b": -2.0},
      "prior shapes must be positive and finite, got a=1.0, b=-2.0"),
-    (TrPResult, (10.0, 1.0, 0.0, 0.0), {}, "transition point must be in (0,1), got 1.0"),
-    (TrPResult, (10.0, 0.0, 0.0, 0.0), {}, "transition point must be in (0,1), got 0.0"),
-    (TrPResult, (10.0, 0.5, 1e-7, 0.0), {}, "root residual 1e-07 exceeds the limit 1e-08"),
-    (TrPResult, (10.0, 0.5, -1e-9, 0.0), {}, "root residual -1e-09 exceeds the limit 1e-08"),
-    (TrPResult, (10.0, 0.5, 0.0, -1.0), {}, "bracket width must be nonnegative, got -1.0"),
     # appended, so the ids of the rows above keep their index
     (CompositeHypothesis, ((0.0, 1.0), math.inf, 1.0), {},
      "prior shapes must be positive and finite, got a=inf, b=1.0"),
@@ -96,8 +91,6 @@ REPLACED = [
     (PointHypothesis(0.5), {"theta0": 2.0}, "point hypothesis requires theta0 in (0,1), got 2.0"),
     (CompositeHypothesis(), {"a": -1.0},
      "prior shapes must be positive and finite, got a=-1.0, b=1.0"),
-    (TrPResult(10.0, 0.4, 0.0, 0.0), {"residual": 5e-4},
-     "root residual 0.0005 exceeds the limit 1e-08"),
 ]
 
 
@@ -115,7 +108,6 @@ def test_make_and_replace_check_like_the_constructor(record, fields, message):
 def test_validating_records_keep_their_defaults_and_keywords():
     assert BinomialOutcome(n=10, k=3) == (10, 3, "exact")
     assert CompositeHypothesis() == ((0.0, 1.0), 1.0, 1.0)
-    assert TrPResult(n=10.0, trp_y=0.5, residual=0.0, bracket_width=0.0).trp_y == 0.5
 
 
 def test_records_behave_as_tuples():

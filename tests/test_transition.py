@@ -76,10 +76,22 @@ class TestTrpSimple:
             trp_simple(0.3, 0.3)
         with pytest.raises(ValueError, match="must lie in"):  # not math's bare message
             trp_simple(0.0, 0.5)
+        with pytest.raises(ValueError, match="must lie in"):
+            trp_simple(0.25, 1.0)
 
     def test_zero_second_hypothesis_is_a_value_error(self):
         with pytest.raises(ValueError, match="must lie in"):
             trp_simple(0.25, 0.0)
+
+    def test_a_tiny_theta_keeps_its_complement(self):
+        # 1 - 1e-300 and 1 - 5e-324 both round to 1: the root read 0.0 ("must be in (0,1)")
+        t1, t2 = mpmath.mpf(1e-300), mpmath.mpf(5e-324)
+        with mpmath.workdps(60):
+            comp = mpmath.log1p(-t2) - mpmath.log1p(-t1)
+            expected = float(comp / (mpmath.log(t1 / t2) + comp))
+        got = transition.trp_point_pair(10.0, PointHypothesis(1e-300), PointHypothesis(5e-324))
+        assert got.trp_y == pytest.approx(expected, rel=1e-15, abs=0)
+        assert trp_simple(1e-300, 5e-324) == got.trp_y
 
 
 class TestTrpComposite:
@@ -380,15 +392,35 @@ class TestZeroPath:
 
 
 class TestTrPResultInvariants:
-    def test_residual_limit_enforced(self):
-        with pytest.raises(ValueError):
-            TrPResult(n=10.0, trp_y=0.3, residual=1e-6, bracket_width=0.0)
+    @pytest.mark.parametrize("root", [0.0, 1.0, math.nan])
+    def test_a_solved_root_outside_the_unit_interval_names_n_and_the_hypotheses(
+            self, monkeypatch, root):
+        monkeypatch.setattr(transition, "find_root", lambda f, lo, hi: (root, 0.0, 0.0))
+        message = (f"transition point of {ONE_SIDED} against {FAIR} at n=10.0: "
+                   f"transition point must be in (0,1), got {root}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            trp_composite(10.0, ONE_SIDED, FAIR)
 
-    def test_trp_y_domain_enforced(self):
-        with pytest.raises(ValueError):
-            TrPResult(n=10.0, trp_y=0.0, residual=0.0, bracket_width=0.0)
-        with pytest.raises(ValueError):
-            TrPResult(n=10.0, trp_y=1.0, residual=0.0, bracket_width=0.0)
+    def test_a_point_pair_root_outside_the_unit_interval_names_n_and_the_hypotheses(
+            self, monkeypatch):
+        monkeypatch.setattr(transition, "trp_simple", lambda theta1, theta2: 0.0)
+        message = ("transition point of PointHypothesis(theta0=0.25) against "
+                   "PointHypothesis(theta0=0.75) at n=10.0: transition point must be in "
+                   "(0,1), got 0.0")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            transition.trp_point_pair(10.0, PointHypothesis(0.25), PointHypothesis(0.75))
+
+    def test_a_nan_residual_names_n_and_the_hypotheses(self, monkeypatch):
+        monkeypatch.setattr(transition, "find_root", lambda f, lo, hi: (0.3, math.nan, 0.0))
+        message = (f"transition point of {ONE_SIDED} against {FAIR} at n=10.0: "
+                   f"root residual nan exceeds the limit 1e-08")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            trp_composite(10.0, ONE_SIDED, FAIR)
+
+    def test_a_residual_at_the_limit_is_a_root(self, monkeypatch):
+        monkeypatch.setattr(transition, "find_root",
+                            lambda f, lo, hi: (0.3, -RESIDUAL_LIMIT, 2e-13))
+        assert trp_composite(10.0, ONE_SIDED, FAIR) == TrPResult(10.0, 0.3, RESIDUAL_LIMIT, 2e-13)
 
     def test_a_point_pair_residual_past_the_limit_names_n_and_the_hypotheses(self):
         # at n = 1e7 the closed form's rounding leaves |log SLR| above the limit
