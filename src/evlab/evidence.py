@@ -17,8 +17,7 @@ from .numerics import (
     _bd0,
     _log1mexp,
     _log_beta_front,
-    _log_complement_ratio,
-    _log_ratio,
+    _log_quotient,
     regularized_incomplete_beta,
 )
 
@@ -221,13 +220,15 @@ def log_slr(data: BinomialOutcome, h1: PointHypothesis, h2: PointHypothesis) -> 
     Equals k ln(theta1/theta2) + (n-k) ln((1-theta1)/(1-theta2)): linear in
     k and in n-k, hence additive across independent batches of tosses. Each
     log stays finite where its ratio leaves the double range; a ValueError
-    where the two terms overflow with opposite signs. At a tiny theta, whose
-    1 - theta rounds to 1, the second log is log1p((theta2-theta1)/(1-theta2)),
-    so it is 0 only where theta1 equals theta2: k = 0 of n = 10 between
+    where the two terms overflow with opposite signs. Where a quotient lies
+    in [0.5, 2], its log is log1p of the thetas' difference over the
+    denominator, so close thetas keep their digits and a tiny theta, whose
+    1 - theta rounds to 1, keeps its second term: k = 0 of n = 10 between
     1e-300 and 5e-324 gives -1e-299, not 0.
     """
     t1, t2 = h1.theta0, h2.theta0
-    value = data.k * _log_ratio(t1, t2) + (data.n - data.k) * _log_complement_ratio(t1, t2)
+    value = (data.k * _log_quotient(t1, t2, t1 - t2)
+             + (data.n - data.k) * _log_quotient(1.0 - t1, 1.0 - t2, t2 - t1))
     if math.isnan(value):
         raise ValueError(f"the log SLR's two terms overflow with opposite signs at n={data.n}, "
                          f"k={data.k}, theta1={t1}, theta2={t2}")

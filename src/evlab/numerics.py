@@ -88,14 +88,15 @@ def _log_ratio(a: float, b: float) -> float:
     return math.log(a) - math.log(b)
 
 
-def _log_complement_ratio(t1: float, t2: float) -> float:
-    """ln((1-t1)/(1-t2)) for t1, t2 in (0, 1): _log_ratio of the complements,
-    but log1p((t2-t1)/(1-t2)) where their quotient rounds to 1 while t1 != t2,
-    as it does where both complements round to 1 (t1 = 1e-300, t2 = 5e-324).
-    So it is 0.0 only where t1 equals t2."""
-    a, b = 1.0 - t1, 1.0 - t2
-    if a / b == 1.0 and t1 != t2:
-        return math.log1p((t2 - t1) / b)
+def _log_quotient(a: float, b: float, a_minus_b: float) -> float:
+    """ln(a/b) for a, b in (0, 1], given a - b as taken from the thetas that a
+    and b were formed from: log1p((a-b)/b) where the quotient lies in
+    [0.5, 2], so that neither a quotient near 1 nor a complement 1 - t that
+    rounds away a tiny t loses digits (t = 1e-300 against 5e-324);
+    _log_ratio(a, b) elsewhere, where the log is at least ln 2 in size. It is
+    0.0 only where a - b is 0."""
+    if 0.5 <= a / b <= 2.0:
+        return math.log1p(a_minus_b / b)
     return _log_ratio(a, b)
 
 

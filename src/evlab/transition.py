@@ -25,13 +25,7 @@ from .evidence import (
     log_mlr,
     log_slr,
 )
-from .numerics import (
-    RESIDUAL_LIMIT,
-    InvalidBracketError,
-    _log_complement_ratio,
-    _log_ratio,
-    find_root,
-)
+from .numerics import RESIDUAL_LIMIT, InvalidBracketError, _log_quotient, find_root
 
 # Root brackets stay this far inside the support / away from the point null,
 # since the log Bayes factor diverges toward the support edges.
@@ -72,8 +66,8 @@ def trp_simple(theta1: float, theta2: float) -> float:
         raise ValueError(f"hypotheses must lie in (0,1), got {theta1}, {theta2}")
     if theta1 == theta2:
         raise ValueError("transition point is undefined for identical hypotheses")
-    comp = _log_complement_ratio(theta2, theta1)
-    return comp / (_log_ratio(theta1, theta2) + comp)
+    comp = _log_quotient(1.0 - theta2, 1.0 - theta1, theta1 - theta2)
+    return comp / (_log_quotient(theta1, theta2, theta1 - theta2) + comp)
 
 
 def trp_point_pair(n: float, h1: PointHypothesis, h2: PointHypothesis) -> TrPResult:

@@ -282,11 +282,16 @@ class TestLogSlr:
         got = log_slr(BinomialOutcome(n, k), PointHypothesis(t1), PointHypothesis(t2))
         assert got == pytest.approx(expected, rel=1e-15)
 
-    def test_a_tiny_theta_keeps_its_complement(self):
-        # 1 - 1e-300 and 1 - 5e-324 both round to 1: the value read 0.0
-        got = log_slr(BinomialOutcome(10, 0), PointHypothesis(1e-300), PointHypothesis(5e-324))
+    @pytest.mark.parametrize("n, k, t1, t2", [
+        (10, 0, 1e-300, 5e-324),  # 1 - 1e-300 and 1 - 5e-324 both round to 1: it read 0.0
+        (10, 10, 0.3, 0.30000000000000004),  # 0.3 / 0.30000000000000004 rounds near 1
+    ])
+    def test_tiny_and_close_thetas_match_mpmath(self, n, k, t1, t2):
+        got = log_slr(BinomialOutcome(n, k), PointHypothesis(t1), PointHypothesis(t2))
+        t1, t2 = mpmath.mpf(t1), mpmath.mpf(t2)
         with mpmath.workdps(60):
-            expected = float(10 * (mpmath.log1p(-1e-300) - mpmath.log1p(-5e-324)))
+            expected = float(k * mpmath.log(t1 / t2)
+                             + (n - k) * (mpmath.log1p(-t1) - mpmath.log1p(-t2)))
         assert got == pytest.approx(expected, rel=1e-15, abs=0)
 
     def test_a_mirrored_pair_at_half_is_exactly_zero(self):

@@ -20,7 +20,7 @@ from evlab.numerics import (
     _bd0,
     _beta_continued_fraction,
     _log_beta_front,
-    _log_complement_ratio,
+    _log_quotient,
     _stirlerr,
 )
 
@@ -108,20 +108,33 @@ class TestLogBetaFront:
         assert _log_beta_front(0.5, a, b) == _log_beta_front(0.5, b, a)
 
 
-class TestLogComplementRatio:
+class TestLogQuotient:
     @pytest.mark.parametrize("t1, t2", [
         (1e-300, 5e-324), (5e-324, 1e-300), (1e-17, 2e-17),  # each complement rounds to 1
+        (1e-16, 5e-324),  # one complement rounds, the other is exactly 1
         (0.3, 0.30000000000000004),  # two complements round to one double
         (0.25, 0.75), (0.9, 5e-324), (0.5, 1.0 - 2.0**-53),
     ])
-    def test_matches_mpmath(self, t1, t2):
+    def test_complements_match_mpmath(self, t1, t2):
         with mpmath.workdps(60):
             expected = float(mpmath.log1p(-t1) - mpmath.log1p(-t2))
-        assert _log_complement_ratio(t1, t2) == pytest.approx(expected, rel=1e-15, abs=0)
+        got = _log_quotient(1.0 - t1, 1.0 - t2, t2 - t1)
+        assert got == pytest.approx(expected, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("a, b", [
+        (0.3, 0.30000000000000004),  # a / b rounds to 1 - 2**-53, whose log read -2.2e-16
+        (1.0 - 2.0**-52, 1.0 - 2.0**-53), (5e-324, 1e-323), (0.5, 1.0), (2.0, 1.0),
+        (0.25, 0.75), (0.9, 5e-324), (5e-324, 0.9),
+    ])
+    def test_quotients_match_mpmath(self, a, b):
+        with mpmath.workdps(60):
+            expected = float(mpmath.log(mpmath.mpf(a) / mpmath.mpf(b)))
+        assert _log_quotient(a, b, a - b) == pytest.approx(expected, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("theta", [5e-324, 1e-300, 0.3, 1.0 - 2.0**-53])
-    def test_equal_thetas_give_exactly_zero(self, theta):
-        assert _log_complement_ratio(theta, theta) == 0.0
+    def test_equal_operands_give_exactly_zero(self, theta):
+        assert _log_quotient(theta, theta, 0.0) == 0.0
+        assert _log_quotient(1.0 - theta, 1.0 - theta, 0.0) == 0.0
 
 
 class TestIncompleteBeta:

@@ -83,15 +83,21 @@ class TestTrpSimple:
         with pytest.raises(ValueError, match="must lie in"):
             trp_simple(0.25, 0.0)
 
-    def test_a_tiny_theta_keeps_its_complement(self):
-        # 1 - 1e-300 and 1 - 5e-324 both round to 1: the root read 0.0 ("must be in (0,1)")
-        t1, t2 = mpmath.mpf(1e-300), mpmath.mpf(5e-324)
+    @pytest.mark.parametrize("theta1, theta2", [
+        (1e-300, 5e-324),  # both complements round to 1: the root read 0.0 ("must be in (0,1)")
+        (1e-16, 5e-324),  # one complement rounds: the root read 3.14e-19
+        # both complements round to one double and theta1 / theta2 to 1 - 2**-53:
+        # the root read 0.263 once the complement term kept its digits
+        (0.3, 0.30000000000000004),
+    ])
+    def test_close_and_tiny_thetas_match_mpmath(self, theta1, theta2):
+        t1, t2 = mpmath.mpf(theta1), mpmath.mpf(theta2)
         with mpmath.workdps(60):
             comp = mpmath.log1p(-t2) - mpmath.log1p(-t1)
             expected = float(comp / (mpmath.log(t1 / t2) + comp))
-        got = transition.trp_point_pair(10.0, PointHypothesis(1e-300), PointHypothesis(5e-324))
+        got = transition.trp_point_pair(10.0, PointHypothesis(theta1), PointHypothesis(theta2))
         assert got.trp_y == pytest.approx(expected, rel=1e-15, abs=0)
-        assert trp_simple(1e-300, 5e-324) == got.trp_y
+        assert trp_simple(theta1, theta2) == got.trp_y
 
 
 class TestTrpComposite:
