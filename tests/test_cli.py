@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from evlab import cli
+from evlab._flags import _TRANSFORMS
 from evlab.cli import build_parser, main
 from evlab.evidence import (
     CONTINUOUS, EVIDENCE_KINDS, EXACT, LOG_SCALE_KINDS, BinomialOutcome, CompositeHypothesis,
@@ -818,6 +819,12 @@ class TestAudit:
         assert rows[0]["affine"] == "true"
         assert rows[0]["positive_scalar"] == "false"
 
+    def test_degree_transforms_convert_fahrenheit_and_celsius(self):
+        # every audit verdict is the same for any positive slope, so the maps are pinned here
+        f2c, c2f = _TRANSFORMS["f2c"], _TRANSFORMS["c2f"]
+        assert (f2c(212.0), f2c(32.0), f2c(-40.0)) == (100.0, 0.0, -40.0)
+        assert (c2f(100.0), c2f(0.0), c2f(-40.0)) == (212.0, 32.0, -40.0)
+
     def test_transform_degrees_on_a_narrow_interval(self, capsys):
         # the values are 1e7 times their range, so rounding exceeds 1e-9 of it
         status, out = run_cli(capsys, "audit", "transform", "--f", "f2c",
@@ -971,6 +978,13 @@ class TestOutputOptions:
         )
         obj = json.loads(out.strip())
         assert obj == {"kind": "neglogp", "n": 10.0, "k": 5.0, "value": 0.0}
+
+    def test_a_negative_zero_prints_as_zero(self, capsys):
+        # -ln P = 0.0 at k = n/2, which base 0.5 turns into -0.0
+        status, out = run_cli(capsys, "compute", "--n", "10", "--k", "5", "--kinds", "neglogp",
+                              "--log-base", "0.5")
+        assert (status, out) == (0, "kind,n,k,value\nneglogp,10,5,0\n")
+        assert [cli._fmt_cell(value) for value in (-0.0, -1.0, 1.0)] == ["0", "-1", "1"]
 
     @pytest.mark.parametrize("line", [
         *readme_examples(),

@@ -216,6 +216,13 @@ class TestLogMlr:
         with pytest.raises(ValueError):
             log_mlr(BinomialOutcome(0, 0), FAIR)
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=NONNEGATIVE, share=UNIT, theta0=st.one_of(UNIT, EXTREME_DOUBLES),
+           mode=st.sampled_from(MODES))
+    def test_error_contract_over_extreme_doubles(self, n, share, theta0, mode):
+        check_contract(lambda: log_mlr(BinomialOutcome(n, share * n, mode),
+                                       PointHypothesis(theta0)))
+
     @pytest.mark.parametrize("n, k", [(10**6, 500100), (10**7, 5000100), (10**7, 4999999)])
     def test_full_precision_near_the_null_at_large_n(self, n, k):
         # each of k ln(k/n) and k ln(1/2) is about n ln 2 here; their difference is tiny
@@ -321,9 +328,11 @@ class TestLogSlr:
         split = log_slr(BinomialOutcome(n1, k1), h1, h2) + log_slr(
             BinomialOutcome(n2, k2), h1, h2
         )
-        # rounding is relative to the size of the terms, which can cancel
-        terms = sum(count * abs(math.log(ratio)) for count, ratio in (
-            (k1 + k2, t1 / t2), (n1 + n2 - k1 - k2, (1.0 - t1) / (1.0 - t2))) if count)
+        # rounding is relative to the size of the terms, which can cancel; each log is
+        # taken so that no quotient overflows or rounds to 1 and reads as size 0
+        terms = sum(count * size for count, size in (
+            (k1 + k2, abs(math.log(t1) - math.log(t2))),
+            (n1 + n2 - k1 - k2, abs(math.log1p((t2 - t1) / (1.0 - t2))))) if count)
         assert combined == split or abs(combined - split) <= 1e-13 * terms
 
 

@@ -16,7 +16,7 @@ from test_readme import _examples as readme_examples
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "outdiff.py"
-STRIDE = "20"  # about 22 of the corpus's 420-odd commands
+STRIDE = "20"  # about 23 of the corpus's 465 commands
 
 
 def _outdiff(*args):

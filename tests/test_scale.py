@@ -24,7 +24,7 @@ from evlab.scale import (
 from evlab.numerics import linspace
 from evlab._flags import _TRANSFORMS
 
-from _contract import EXTREME_DOUBLES, NONNEGATIVE, check_contract
+from _contract import EXTREME_DOUBLES, NONNEGATIVE, UNIT, check_contract
 from _oracles import discordant_count, pair_signs, tau_b
 
 
@@ -584,3 +584,8 @@ class TestDifferenceComparison:
             difference_comparison_demo((0.5, 0.0, 0.1))
         with pytest.raises(ValueError):
             difference_comparison_demo((1.5, 0.5, 0.1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(p_values=st.tuples(*[st.one_of(UNIT, EXTREME_DOUBLES)] * 3))
+    def test_error_contract_over_extreme_doubles(self, p_values):
+        check_contract(lambda: difference_comparison_demo(p_values))

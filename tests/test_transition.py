@@ -10,6 +10,7 @@ from scipy import special
 from evlab import transition
 from evlab.evidence import (
     CONTINUOUS,
+    MODES,
     BinomialOutcome,
     CompositeHypothesis,
     PointHypothesis,
@@ -29,10 +30,23 @@ from evlab.transition import (
     zero_path,
 )
 
+from _contract import EXTREME_DOUBLES, NONNEGATIVE, UNIT, check_contract
 from _oracles import quad_trp
 
 FAIR = PointHypothesis(0.5)
 ONE_SIDED = CompositeHypothesis((0.0, 0.5))
+
+# A probability that a solver takes as a bare double, not through a record.
+THETAS = st.one_of(UNIT, EXTREME_DOUBLES)
+# A composite root's n and prior shapes, up to where the continued fraction
+# still stops well short of its iteration cap.
+ROOT_N = st.one_of(NONNEGATIVE, EXTREME_DOUBLES).filter(lambda n: not n > 1e7)
+SHAPES = NONNEGATIVE.filter(lambda shape: shape <= 1e6)
+
+
+def _composite(support, a, b):
+    return CompositeHypothesis(tuple(sorted(support)), a, b)
+
 
 # Transition point of the one-sided setup at n=10, from bisection of the
 # quadrature-oracle log Bayes factor.
@@ -98,6 +112,17 @@ class TestTrpSimple:
         got = transition.trp_point_pair(10.0, PointHypothesis(theta1), PointHypothesis(theta2))
         assert got.trp_y == pytest.approx(expected, rel=1e-15, abs=0)
         assert trp_simple(theta1, theta2) == got.trp_y
+
+    @settings(max_examples=200, deadline=None)
+    @given(theta1=THETAS, theta2=THETAS)
+    def test_error_contract_over_extreme_doubles(self, theta1, theta2):
+        check_contract(lambda: trp_simple(theta1, theta2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.one_of(NONNEGATIVE, EXTREME_DOUBLES), theta1=UNIT, theta2=UNIT)
+    def test_point_pair_error_contract_over_extreme_doubles(self, n, theta1, theta2):
+        check_contract(lambda: transition.trp_point_pair(n, PointHypothesis(theta1),
+                                                         PointHypothesis(theta2)))
 
 
 class TestTrpComposite:
@@ -187,6 +212,12 @@ class TestTrpComposite:
             trp_composite(10.0, CompositeHypothesis(support), FAIR)
         assert "null 0.5" in str(info.value)
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=ROOT_N, support=st.tuples(UNIT, UNIT), a=SHAPES, b=SHAPES, theta0=UNIT)
+    def test_error_contract_over_extreme_doubles(self, n, support, a, b, theta0):
+        check_contract(lambda: trp_composite(n, _composite(support, a, b),
+                                             PointHypothesis(theta0)))
+
 
 class TestTrpCompositeTwoSided:
     def test_pair_brackets_the_null(self):
@@ -219,6 +250,12 @@ class TestTrpCompositeTwoSided:
     def test_no_roots_for_tiny_n(self):
         with pytest.raises(InvalidBracketError, match="does not change sign"):
             trp_composite_two_sided(1.0, CompositeHypothesis(), FAIR)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=ROOT_N, support=st.tuples(UNIT, UNIT), a=SHAPES, b=SHAPES, theta0=UNIT)
+    def test_error_contract_over_extreme_doubles(self, n, support, a, b, theta0):
+        check_contract(lambda: trp_composite_two_sided(n, _composite(support, a, b),
+                                                       PointHypothesis(theta0)))
 
 
 class TestAgainstBoth:
@@ -259,6 +296,11 @@ class TestAgainstBoth:
             against_both(BinomialOutcome(4, 2), 0.3, 0.3)
         with pytest.raises(ValueError, match="theta0 in"):
             against_both(BinomialOutcome(4, 2), 0.25, 1.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=NONNEGATIVE, share=UNIT, theta1=THETAS, theta2=THETAS, mode=st.sampled_from(MODES))
+    def test_error_contract_over_extreme_doubles(self, n, share, theta1, theta2, mode):
+        check_contract(lambda: against_both(BinomialOutcome(n, share * n, mode), theta1, theta2))
 
 
 class TestZeroPath:

@@ -12,11 +12,11 @@ expression); it turns a numeric literal ``c`` into ``(c + 1)`` or
 runs N sites drawn by ``--seed`` (the same seed draws the same sites);
 without it every site runs.
 
-Every mutant runs in a temporary copy of the tree (``src``, ``tests``,
-``bench``, ``tools``, the README, ``pyproject.toml`` and ``BENCHMARK.json``:
-every file the tests read), so the checkout, its
-``__pycache__`` and its hypothesis database are never written. The copy
-runs ``python -m pytest -x -q -p no:cacheprovider tests
+The tool first copies the checkout, less ``.git`` and its caches, to a
+temporary directory, and reads each module's text once, from that copy: the
+sites, every mutant and the restore after it all come from that one text. So
+the checkout is never read again or written, and may change during a run.
+The copy runs ``python -m pytest -x -q -p no:cacheprovider tests
 bench/test_selfcheck.py``, with hypothesis seeded by ``--seed`` so that a
 verdict repeats: once unmutated, and then once per mutant. If the unmutated
 run fails, no mutant could survive, so the tool says so and exits 1. Its
@@ -24,7 +24,7 @@ time, times TIMEOUT_FACTOR, is each mutant's timeout; a failure or a timeout
 kills a mutant. One line is printed per mutant, ``module:line:column old →
 new: killed|survived``, then the kill count. A survivor is a change no test
 notices: either a missing test or an equivalent mutant, which cannot change
-any result. ``--sample 0`` only counts the sites and runs no test.
+any result. ``--sample 0`` only makes the copy and counts its sites.
 
 Standard library only. A full run takes hours, so CI runs a single mutant;
 run it on the modules a change touches.
@@ -47,8 +47,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = ROOT / "src" / "evlab"
-COPIED = ("src", "tests", "bench", "tools", "README.md", "pyproject.toml", "BENCHMARK.json")
+UNCOPIED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
+                                  "*.egg-info", "out")
 PYTEST = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests", "bench/test_selfcheck.py")
 TIMEOUT_FACTOR = 3  # a mutant's tests that take this many times the unmutated run's loop
 
@@ -83,9 +83,8 @@ def _operators(node: ast.AST) -> list[tuple[type, ast.AST, ast.AST]]:
     return []
 
 
-def sites(module: str) -> list[Site]:
-    """Every mutation site of src/evlab/<module>.py, in source order."""
-    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+def sites(module: str, source: str) -> list[Site]:
+    """Every mutation site of source, the text of src/evlab/<module>.py, in source order."""
     lines = source.splitlines(keepends=True)
     starts = [0]
     for line in lines:
@@ -154,8 +153,8 @@ def sites(module: str) -> list[Site]:
     return sorted(found, key=lambda site: (site.edits, site.new))
 
 
-def mutant_source(site: Site) -> str:
-    source = (PACKAGE / f"{site.module}.py").read_text(encoding="utf-8")
+def mutant_source(site: Site, source: str) -> str:
+    """source, the text the site was found in, with the site mutated."""
     for start, end, text in reversed(site.edits):
         source = source[:start] + text + source[end:]
     return source
@@ -175,15 +174,14 @@ def passes(tree: Path, seed: int, timeout: float | None = None) -> bool:
         shutil.rmtree(tree / ".hypothesis", ignore_errors=True)  # no example carries over
 
 
-def killed(site: Site, tree: Path, seed: int, timeout: float) -> bool:
-    """Whether the tests fail, or run past timeout seconds, with the site mutated in tree."""
+def killed(site: Site, tree: Path, source: str, seed: int, timeout: float) -> bool:
+    """Whether the tests in tree fail, or run past timeout seconds, with source mutated."""
     target = tree / "src" / "evlab" / f"{site.module}.py"
-    original = target.read_text(encoding="utf-8")
-    target.write_text(mutant_source(site), encoding="utf-8")
+    target.write_text(mutant_source(site, source), encoding="utf-8")
     try:
         return not passes(tree, seed, timeout)
     finally:
-        target.write_text(original, encoding="utf-8")
+        target.write_text(source, encoding="utf-8")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -195,25 +193,20 @@ def main(argv: list[str] | None = None) -> int:
                         help="run N sites drawn by the seed (default: every site)")
     args = parser.parse_args(argv)
 
-    every = [site for module in args.modules.split(",") for site in sites(module)]
-    chosen = every
-    if args.sample is not None and args.sample < len(every):
-        chosen = sorted(random.Random(args.seed).sample(every, args.sample),
-                        key=lambda site: (site.module, site.edits, site.new))
-    print(f"{len(chosen)} of {len(every)} sites", flush=True)
-    if not chosen:
-        return 0
-
     kills = 0
     with tempfile.TemporaryDirectory(prefix="evlab-mutate-") as scratch:
         tree = Path(scratch)
-        for name in COPIED:
-            source = ROOT / name
-            if source.is_dir():
-                shutil.copytree(source, tree / name,
-                                ignore=shutil.ignore_patterns("__pycache__", "out"))
-            else:
-                shutil.copy2(source, tree / name)
+        shutil.copytree(ROOT, tree, ignore=UNCOPIED, dirs_exist_ok=True)
+        sources = {module: (tree / "src" / "evlab" / f"{module}.py").read_text(encoding="utf-8")
+                   for module in args.modules.split(",")}
+        every = [site for module, source in sources.items() for site in sites(module, source)]
+        chosen = every
+        if args.sample is not None and args.sample < len(every):
+            chosen = sorted(random.Random(args.seed).sample(every, args.sample),
+                            key=lambda site: (site.module, site.edits, site.new))
+        print(f"{len(chosen)} of {len(every)} sites", flush=True)
+        if not chosen:
+            return 0
         start = time.perf_counter()
         if not passes(tree, args.seed):
             print("the tests fail on the unmutated tree, so every mutant would read killed",
@@ -222,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
         timeout = TIMEOUT_FACTOR * (time.perf_counter() - start)
         print(f"clean run passed; each mutant's timeout is {timeout:.0f} s", flush=True)
         for site in chosen:
-            verdict = killed(site, tree, args.seed, timeout)
+            verdict = killed(site, tree, sources[site.module], args.seed, timeout)
             kills += verdict
             print(f"{site.module}:{site.line}:{site.column} {site.old} → {site.new}: "
                   f"{'killed' if verdict else 'survived'}", flush=True)
